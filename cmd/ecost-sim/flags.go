@@ -4,18 +4,21 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"ecost/internal/scenario"
 )
 
 // runFlags is the parsed flag set that participates in cross-flag
 // validation. Online carries the post-implication value (-metrics and
 // gen: scenarios silently enable -online before validation runs);
 // ScenarioGen is whether -scenario named a gen: spec rather than a
-// WS workload.
+// WS workload, and Scenario the raw -scenario value.
 type runFlags struct {
 	Online          bool
 	Nodes           int
 	Jobs            int
 	Arrival         float64
+	Scenario        string
 	ScenarioGen     bool
 	Arrivals        string
 	TraceRecord     string
@@ -115,6 +118,11 @@ func (f runFlags) contradiction() string {
 		if f.Arrival > 0 {
 			return "-arrival shapes workload streams; retune a gen: -scenario with -arrivals instead"
 		}
+		// A malformed spec is rejected here, before the environment
+		// build, not after it.
+		if _, err := f.genSpec(0); err != nil {
+			return "-scenario gen: spec rejected: " + err.Error()
+		}
 	} else if f.Arrivals != "" {
 		return "-arrivals retunes a gen: -scenario; use -arrival for workload streams"
 	}
@@ -126,6 +134,27 @@ func (f runFlags) contradiction() string {
 		}
 	}
 	return ""
+}
+
+// genSpec parses the gen: -scenario, applies any -arrivals override and
+// the seed, and validates the result. Parsing is pure and cheap, so
+// flag validation runs it before anything expensive; every rejection
+// is the scenario grammar's typed *SpecError.
+func (f runFlags) genSpec(seed int64) (scenario.Spec, error) {
+	spec, err := scenario.ParseSpec(f.Scenario)
+	if err != nil {
+		return scenario.Spec{}, err
+	}
+	spec.Seed = seed
+	if f.Arrivals != "" {
+		if spec.Arrivals, err = scenario.ParseArrivals(f.Arrivals); err != nil {
+			return scenario.Spec{}, err
+		}
+	}
+	if err := spec.Validate(); err != nil {
+		return scenario.Spec{}, err
+	}
+	return spec, nil
 }
 
 // outputPaths lists the flags that write a file at the end of the run,

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ecost/internal/scenario"
 )
 
 // TestFlagContradictions covers every flag-combination rejection path
@@ -39,6 +42,11 @@ func TestFlagContradictions(t *testing.T) {
 		{"gen scenario with jobs", runFlags{Online: true, ScenarioGen: true, Jobs: 100}, "-jobs duplicates the jobs= clause"},
 		{"gen scenario with arrival", runFlags{Online: true, ScenarioGen: true, Arrival: 60}, "-arrival shapes workload streams"},
 		{"arrivals without gen scenario", runFlags{Online: true, Arrivals: "poisson:60"}, "-arrivals retunes a gen: -scenario"},
+		// A malformed spec or -arrivals override fails flag validation —
+		// exit 2 before the environment build, not after it.
+		{"malformed gen spec", runFlags{Online: true, ScenarioGen: true, Scenario: "gen:jobs=abc"}, "bad jobs"},
+		{"gen spec unknown clause", runFlags{Online: true, ScenarioGen: true, Scenario: "gen:jobs=5;tenants=3"}, "unknown clause"},
+		{"gen spec bad arrivals override", runFlags{Online: true, ScenarioGen: true, Scenario: "gen:jobs=5", Arrivals: "poisson:-1"}, "bad arrivals"},
 		{"record online", runFlags{Online: true, TraceRecord: "t.jsonl"}, ""},
 		{"record offline", runFlags{TraceRecord: "t.jsonl"}, "-trace-record requires the online scheduler"},
 		{"replay online", runFlags{Online: true, TraceReplay: "t.jsonl"}, ""},
@@ -117,6 +125,9 @@ func TestFlagContradictions(t *testing.T) {
 			if f.Nodes == 0 {
 				f.Nodes = 4 // the flag's default; 0 in a table entry means "not under test"
 			}
+			if f.ScenarioGen && f.Scenario == "" {
+				f.Scenario = "gen:jobs=10" // a valid spec; "" means "not under test"
+			}
 			got := f.contradiction()
 			if tc.want == "" && got != "" {
 				t.Fatalf("coherent flags rejected: %q", got)
@@ -131,6 +142,31 @@ func TestFlagContradictions(t *testing.T) {
 	all := runFlags{Jobs: 1, TraceRecord: "x", TraceReplay: "x", TraceOut: "x", TimelineOut: "x", EDPReport: true, QualityReport: true, ServeAddr: "x", ShardsSet: true, Steal: true, FlightOut: "x", HealthReport: true}
 	if got := len(all.onlineOnly()); got != 12 {
 		t.Fatalf("onlineOnly lists %d flags; update TestFlagContradictions", got)
+	}
+}
+
+// TestGenSpecTypedError pins what flag validation hands back for a
+// malformed gen: spec: the scenario grammar's typed *SpecError naming
+// the offending clause, and for a valid one the spec with the seed set.
+func TestGenSpecTypedError(t *testing.T) {
+	for _, tc := range []struct {
+		flags runFlags
+		field string
+	}{
+		{runFlags{Scenario: "gen:jobs=abc"}, "jobs"},
+		{runFlags{Scenario: "gen:"}, "spec"},
+		{runFlags{Scenario: "gen:jobs=5;sizes=pareto:alpha=0"}, "sizes"},
+		{runFlags{Scenario: "gen:jobs=5", Arrivals: "mmpp:calm=-3"}, "arrivals"},
+	} {
+		_, err := tc.flags.genSpec(7)
+		var se *scenario.SpecError
+		if !errors.As(err, &se) || se.Field != tc.field {
+			t.Fatalf("genSpec(%q, %q) = %v, want *SpecError on %q", tc.flags.Scenario, tc.flags.Arrivals, err, tc.field)
+		}
+	}
+	spec, err := runFlags{Scenario: "gen:jobs=5", Arrivals: "poisson:60"}.genSpec(7)
+	if err != nil || spec.Seed != 7 || spec.Jobs != 5 || spec.Arrivals.Kind != scenario.ArrivalPoisson {
+		t.Fatalf("valid spec: %+v, %v", spec, err)
 	}
 }
 

@@ -135,6 +135,7 @@ func main() {
 		Nodes:           *nodes,
 		Jobs:            *jobs,
 		Arrival:         *arrival,
+		Scenario:        *scenarioFlag,
 		ScenarioGen:     genMode,
 		Arrivals:        *arrivalsFlag,
 		TraceRecord:     *traceRecord,
@@ -160,6 +161,14 @@ func main() {
 		cliutil.Usagef(msg)
 	}
 
+	var genSpec scenario.Spec
+	if genMode {
+		var err error
+		if genSpec, err = rf.genSpec(*seed); err != nil {
+			cliutil.Usagef("bad -scenario gen: spec", "err", err)
+		}
+	}
+
 	var wl core.Workload
 	if !genMode && *traceReplay == "" {
 		var err error
@@ -177,7 +186,7 @@ func main() {
 	}
 
 	if *online {
-		arrivals, header, perJobTable := buildStream(wl, genMode, *scenarioFlag, *arrivalsFlag, *traceReplay, *jobs, *arrival, *seed, *nodes)
+		arrivals, header, perJobTable := buildStream(wl, genMode, genSpec, *traceReplay, *jobs, *arrival, *seed, *nodes)
 		if *traceRecord != "" {
 			if err := writeArtifact(*traceRecord, func(w io.Writer) error {
 				return scenario.WriteTrace(w, arrivals)
@@ -324,12 +333,13 @@ func writeArtifact(path string, write func(io.Writer) error) error {
 
 // buildStream resolves the online arrival stream from the three
 // sources, in precedence order: a replayed JSONL trace, a generated
-// gen: scenario, or the named workload cycled through
-// scenario.FromWorkload (the -jobs path; 0 keeps the scenario as-is).
+// gen: scenario (spec, validated with the flags), or the named workload
+// cycled through scenario.FromWorkload (the -jobs path; 0 keeps the
+// scenario as-is).
 // It returns the stream, the run header, and whether the per-job
 // completion table should be printed (plain workload runs only —
 // stream runs report queueing observables instead).
-func buildStream(wl core.Workload, genMode bool, scenarioFlag, arrivalsFlag, traceReplay string, jobs int, arrival float64, seed int64, nodes int) ([]trace.Arrival, string, bool) {
+func buildStream(wl core.Workload, genMode bool, spec scenario.Spec, traceReplay string, jobs int, arrival float64, seed int64, nodes int) ([]trace.Arrival, string, bool) {
 	if traceReplay != "" {
 		f, err := os.Open(traceReplay)
 		if err != nil {
@@ -344,17 +354,6 @@ func buildStream(wl core.Workload, genMode bool, scenarioFlag, arrivalsFlag, tra
 		return arrivals, header, false
 	}
 	if genMode {
-		spec, err := scenario.ParseSpec(scenarioFlag)
-		if err != nil {
-			cliutil.Usagef("bad -scenario gen: spec", "err", err)
-		}
-		spec.Seed = seed
-		if arrivalsFlag != "" {
-			spec.Arrivals, err = scenario.ParseArrivals(arrivalsFlag)
-			if err != nil {
-				cliutil.Usagef("bad -arrivals", "err", err)
-			}
-		}
 		arrivals, err := scenario.Generate(spec)
 		if err != nil {
 			cliutil.Usagef("bad -scenario gen: spec", "err", err)

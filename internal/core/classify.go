@@ -39,10 +39,19 @@ const ProfilingRuns = 3
 // feature vector and data size. The true identity (App) is carried for
 // ground-truth accounting by experiments but is never consulted by the
 // classifier or the STP models.
+//
+// An online scheduler interns every observation it is handed (see
+// obsTable) and stamps it with a key; the memos key on that instead of
+// the value. Two observations that differ only in key — the same
+// profile interned twice, or a keyed copy of a caller-built value —
+// compare unequal with ==, so compare App, SizeGB and Features when
+// the profile itself is the question.
 type Observation struct {
 	App      workloads.App // ground truth; hidden from the predictor path
 	SizeGB   float64
 	Features perfctr.Vector
+
+	key obsKey // zero unless interned by a scheduler
 }
 
 // Reduced returns the 7 PCA-selected features the predictors consume.

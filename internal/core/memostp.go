@@ -1,9 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-	"hash/maphash"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -11,21 +8,22 @@ import (
 	"ecost/internal/metrics"
 )
 
-// MemoSTP memoizes an STP technique's predictions keyed by the exact
-// (Observation a, Observation b) pair. Recurring jobs have recurring
-// resource profiles (arXiv:1303.3632, arXiv:1301.4753); whenever the
-// same two observations are paired again — replayed traces, exact
-// (noise-free) profiling, policy sweeps re-running a workload, or any
-// caller re-asking for a pair it already tuned — the cache answers in
-// one map lookup instead of a database scan or an argmin sweep.
+// MemoSTP memoizes an STP technique's predictions keyed by the pair of
+// interned observation ids. Recurring jobs have recurring resource
+// profiles (arXiv:1303.3632, arXiv:1301.4753); whenever the same two
+// observations are paired again — recurring tenants under the sharded
+// router's ProfileMemo, replayed traces, or any caller re-asking for a
+// pair it already tuned — the cache answers in one lookup of a 16-byte
+// key instead of a database scan or an argmin sweep.
 //
-// Exact keying is deliberate: with the noise-model profiler each job
-// instance's feature vector differs, so a stream that re-profiles
-// every arrival keeps the cache cold — at the cost of one map lookup
-// per miss, negligible next to the prediction itself. A similarity
-// (app+size) key would hit constantly but return a *different*
-// instance's answer, silently changing tuning decisions; exact keys
-// are what keeps the wrapper bit-identical to the unmemoized run.
+// An online scheduler interns every observation at submission (see
+// obsTable), so equal ids mean the same observation. The key carries
+// the owning table's process-unique generation, so a MemoSTP shared by
+// two schedulers can never confuse their ids. With the noise-model
+// profiler each arrival is interned fresh and the cache stays cold — at
+// the cost of one lookup per miss, negligible next to the prediction.
+// An observation that was never interned (a caller-built value) has no
+// key and passes straight to the inner technique, uncached.
 //
 // The wrapper is transparent: it returns whatever the inner technique
 // returned for the first occurrence of a key (inner techniques are
@@ -38,16 +36,14 @@ import (
 // (implementation-effort telemetry), so deterministic snapshots do not
 // see the cache either.
 //
-// Like the Oracle, the cache is sharded: one mutex per shard keyed by
-// a hash of the two application identities, so concurrent policy
-// sweeps do not serialize on a single lock. Unlike the Oracle there is
-// no singleflight — the online event loop is single-threaded, and for
-// concurrent callers recomputing a prediction is cheap enough that
+// The cache is sharded: one mutex per shard picked by a mix of the two
+// keys, so concurrent callers do not serialize on a single lock. There
+// is no singleflight — the online event loop is single-threaded, and
+// for concurrent callers recomputing a prediction is cheap enough that
 // waiting infrastructure would cost more than it saves.
 type MemoSTP struct {
 	Inner STP
 
-	seed   maphash.Seed
 	shards [memoShards]memoShard
 
 	hits   *metrics.Counter
@@ -62,7 +58,7 @@ type MemoSTP struct {
 	nmisses atomic.Int64
 }
 
-// memoShards is a power of two so shard selection is a mask.
+// memoShards is a power of two so shard selection is a shift.
 const memoShards = 16
 
 // memoShardCap bounds each shard's entry count; a full shard is
@@ -75,11 +71,8 @@ type memoShard struct {
 	m  map[memoPairKey]memoResult
 }
 
-// memoPairKey is the exact observation pair. Observation is a value
-// type (app identity, size, fixed-width feature vector), so equality
-// is the bitwise feature match the profiler's noise model makes
-// meaningful: identical observations — not merely similar ones — hit.
-type memoPairKey struct{ a, b Observation }
+// memoPairKey is the ordered pair of interned observation keys.
+type memoPairKey struct{ a, b obsKey }
 
 type memoResult struct {
 	cfg [2]mapreduce.Config
@@ -93,7 +86,6 @@ type memoResult struct {
 func NewMemoSTP(inner STP, reg *metrics.Registry) *MemoSTP {
 	m := &MemoSTP{
 		Inner:  inner,
-		seed:   maphash.MakeSeed(),
 		hits:   reg.VolatileCounter("stp.memo.hits"),
 		misses: reg.VolatileCounter("stp.memo.misses"),
 	}
@@ -111,21 +103,16 @@ func (m *MemoSTP) HitMiss() (hits, misses int64) {
 	return m.nhits.Load(), m.nmisses.Load()
 }
 
-func (m *MemoSTP) shard(a, b Observation) *memoShard {
-	var h maphash.Hash
-	h.SetSeed(m.seed)
-	h.WriteString(a.App.Name)
-	h.WriteString(b.App.Name)
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(a.SizeGB))
-	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(b.SizeGB))
-	h.Write(buf[:])
-	return &m.shards[h.Sum64()&(memoShards-1)]
+// shard picks the key's lock shard from the top bits of a
+// multiplicative mix of both ids.
+func (m *MemoSTP) shard(k memoPairKey) *memoShard {
+	h := (uint64(k.a)*0x9E3779B97F4A7C15 ^ uint64(k.b)) * 0xBF58476D1CE4E5B9
+	return &m.shards[h>>(64-4)]
 }
 
 // PredictBest implements STP.
 func (m *MemoSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
-	cfg, _, err := m.PredictBestExpected(a, b)
+	cfg, _, err := m.predict(&a, &b)
 	return cfg, err
 }
 
@@ -135,8 +122,18 @@ func (m *MemoSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
 // degradation), so a PredictBest after a PredictBestExpected of the
 // same pair — or vice versa — hits.
 func (m *MemoSTP) PredictBestExpected(a, b Observation) ([2]mapreduce.Config, PairExpectation, error) {
-	k := memoPairKey{a, b}
-	sh := m.shard(a, b)
+	return m.predict(&a, &b)
+}
+
+// predict is the shared lookup. It takes pointers so the scheduler's
+// hit path never copies the observations; only a miss materializes the
+// values the inner technique's signature takes.
+func (m *MemoSTP) predict(a, b *Observation) ([2]mapreduce.Config, PairExpectation, error) {
+	if a.key == 0 || b.key == 0 {
+		return predictExpected(m.Inner, *a, *b)
+	}
+	k := memoPairKey{a.key, b.key}
+	sh := m.shard(k)
 	sh.mu.Lock()
 	if r, ok := sh.m[k]; ok {
 		sh.mu.Unlock()
@@ -147,7 +144,7 @@ func (m *MemoSTP) PredictBestExpected(a, b Observation) ([2]mapreduce.Config, Pa
 	sh.mu.Unlock()
 	m.misses.Inc()
 	m.nmisses.Add(1)
-	cfg, exp, err := predictExpected(m.Inner, a, b)
+	cfg, exp, err := predictExpected(m.Inner, *a, *b)
 	sh.mu.Lock()
 	if len(sh.m) >= memoShardCap {
 		clear(sh.m)

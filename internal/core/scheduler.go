@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -10,7 +11,6 @@ import (
 	"ecost/internal/flight"
 	"ecost/internal/mapreduce"
 	"ecost/internal/metrics"
-	"ecost/internal/perfctr"
 	"ecost/internal/power"
 	"ecost/internal/sim"
 	"ecost/internal/tracing"
@@ -60,12 +60,18 @@ type OnlineScheduler struct {
 	fastAcc    bool
 	phaseWatts [3]float64
 
-	// steadyMemo caches steady-state contention solves by the exact
-	// model inputs (per-resident app name, data size, configuration, in
-	// resident order). Steady is a pure function of those inputs, so a
-	// hit returns bit-identical times and watts — the cache is
-	// transparent to every golden — while recurring tenant pairs skip
-	// the fluid solver entirely. Nil when disabled; see SetSteadyMemo.
+	// obs interns every observation this scheduler is handed; arrivals,
+	// jobs and the memos below carry its ids (see obsTable). A sharded
+	// control plane's shards all share the router's table.
+	obs *obsTable
+
+	// steadyMemo caches steady-state contention solves by the residents'
+	// interned observation keys and configurations, in resident order.
+	// An observation fixes the app and data size, and Steady is a pure
+	// function of (app, data size, configuration) per resident, so a hit
+	// returns bit-identical times and watts — the cache is transparent
+	// to every golden — while recurring tenant pairs skip the fluid
+	// solver entirely. Bypassed only under SetNaive.
 	steadyMemo map[steadyKey]steadyVal
 
 	// freeCnt / halfCnt mirror the dispatch bitmaps' populations so
@@ -112,24 +118,27 @@ type OnlineScheduler struct {
 	// barrier.
 	fl *flight.Collector
 
-	// arrQ is the pending-arrival ring SubmitObserved fills: instead of
-	// one closure + one engine event per submission, the scheduler keeps
-	// a single in-flight head event (arrFire) that batch-drains every
-	// arrival sharing its timestamp and then re-arms itself at the next
-	// arrival time. arrHead indexes the first undelivered entry. The
-	// ring keeps shard event heaps shallow — a 200k-job stream holds one
-	// pending arrival event instead of 12.5k per shard.
+	// arrQ is the pending-arrival ring the sharded router fills: instead
+	// of one closure + one engine event per submission, the scheduler
+	// keeps a single in-flight head event (arrFire) that batch-drains
+	// every arrival sharing its timestamp and then re-arms itself at the
+	// next arrival time. arrHead indexes the first undelivered entry.
+	// The ring keeps shard event heaps shallow — a 200k-job stream holds
+	// one pending arrival event instead of 12.5k per shard — and its
+	// entries are pointer-free ids, so filling it copies 24 bytes per
+	// job and the garbage collector never scans it.
 	arrQ    []pendingArrival
 	arrHead int
 	arrFire func()
 
-	// classMemo caches Classify verdicts by feature vector. Classify is
-	// a pure function of Observation.Reduced() — KNN against a fixed
-	// training set — so a hit is bit-identical to a fresh call while
-	// recurring tenants (identical memoized observations under the
-	// sharded router's ProfileMemo) skip the KNN distance scan and its
-	// allocations entirely. Nil when disabled; see SetClassMemo.
-	classMemo map[perfctr.Vector]workloads.Class
+	// classMemo caches Classify verdicts per interned observation index
+	// (class+1; 0 = not yet classified). Classify is a pure function of
+	// the observation — KNN against a fixed training set — so a hit is
+	// bit-identical to a fresh call while recurring tenants (one id per
+	// (app, size) under the sharded router's ProfileMemo) skip the KNN
+	// distance scan and its allocations entirely. Bypassed only under
+	// SetNaive.
+	classMemo []uint8
 
 	// jobPool / ojPool recycle Job and onlineJob records: both become
 	// unreachable at completion (CompletedJob copies every exported
@@ -141,46 +150,29 @@ type OnlineScheduler struct {
 	ojPool  []*onlineJob
 }
 
-// pendingArrival is one undelivered SubmitObserved entry in the ring.
+// pendingArrival is one undelivered ring entry: the job id, its arrival
+// time, and its observation's index in the scheduler's table.
 type pendingArrival struct {
 	id  int
 	at  float64
-	obs Observation
+	obs uint32
 }
 
-// classMemoCap bounds the classify memo; at the cap it clears wholesale
-// (same policy as the steady memo: recurring tenants repopulate the hot
-// entries immediately).
-const classMemoCap = 8192
-
-// SetClassMemo toggles the Classify memo. A hit is bit-identical to
-// calling the classifier (Classify is pure), so this is safe under every
-// golden; it pays off when observations recur exactly — the sharded
-// control plane enables it on every shard, where ProfileMemo makes
-// recurring tenants' feature vectors identical. Call before the first
-// Submit.
-func (s *OnlineScheduler) SetClassMemo(v bool) {
-	if v {
-		s.classMemo = make(map[perfctr.Vector]workloads.Class)
+// classify returns the behaviour class of the interned observation at
+// index oid, through the per-id memo unless the scheduler is naive.
+func (s *OnlineScheduler) classify(oid uint32, obs *Observation) workloads.Class {
+	if s.naive {
+		return s.DB.Classifier().Classify(*obs)
+	}
+	if int(oid) < len(s.classMemo) {
+		if c := s.classMemo[oid]; c != 0 {
+			return workloads.Class(c - 1)
+		}
 	} else {
-		s.classMemo = nil
+		s.classMemo = append(s.classMemo, make([]uint8, int(oid)+1-len(s.classMemo))...)
 	}
-}
-
-// classify returns the behaviour class for obs, through the memo when
-// one is attached.
-func (s *OnlineScheduler) classify(obs Observation) workloads.Class {
-	if s.classMemo == nil {
-		return s.DB.Classifier().Classify(obs)
-	}
-	if c, ok := s.classMemo[obs.Features]; ok {
-		return c
-	}
-	c := s.DB.Classifier().Classify(obs)
-	if len(s.classMemo) >= classMemoCap {
-		clear(s.classMemo)
-	}
-	s.classMemo[obs.Features] = c
+	c := s.DB.Classifier().Classify(*obs)
+	s.classMemo[oid] = uint8(c) + 1
 	return c
 }
 
@@ -490,6 +482,8 @@ func NewOnlineScheduler(eng *sim.Engine, model *mapreduce.Model, db *Database, t
 		Profiler:   prof,
 		MaxPerNode: 2,
 		queue:      NewWaitQueue(),
+		obs:        newObsTable(),
+		steadyMemo: make(map[steadyKey]steadyVal),
 	}
 	// The idle draw is the same expression Model.Steady evaluates for an
 	// empty spec set, so cached node watts stay bit-identical to a fresh
@@ -556,20 +550,18 @@ func nodePhase(residents int) int8 {
 	return int8(residents)
 }
 
-// steadySpecKey identifies one resident's contention-solver inputs.
-// Applications are identified by name — unique in the workload
-// registry — so equal keys mean equal RunSpecs.
+// steadySpecKey identifies one resident's contention-solver inputs: its
+// interned observation fixes the app and data size, cfg the rest.
 type steadySpecKey struct {
-	app    string
-	dataMB float64
-	cfg    mapreduce.Config
+	obs obsKey
+	cfg mapreduce.Config
 }
 
 // steadyKey is a full node's solver input: up to two residents in
 // resident order (order matters — the returned states are positional).
+// A solo node leaves b zero; no interned key is zero.
 type steadyKey struct {
 	a, b steadySpecKey
-	n    int8
 }
 
 // steadyVal is one cached solve.
@@ -578,16 +570,18 @@ type steadyVal struct {
 	watts float64
 }
 
-// steadyKeyOf builds the memo key for a 1- or 2-resident spec list.
-func steadyKeyOf(specs []mapreduce.RunSpec) steadyKey {
-	k := steadyKey{
-		a: steadySpecKey{specs[0].App.Name, specs[0].DataMB, specs[0].Cfg},
-		n: int8(len(specs)),
+// steadyKeyOf builds the memo key for a node's residents. ok is false
+// when the node holds more than two; such nodes bypass the cache.
+func steadyKeyOf(res []*onlineJob) (k steadyKey, ok bool) {
+	switch len(res) {
+	case 2:
+		k.b = steadySpecKey{res[1].job.Obs.key, res[1].cfg}
+		fallthrough
+	case 1:
+		k.a = steadySpecKey{res[0].job.Obs.key, res[0].cfg}
+		return k, true
 	}
-	if len(specs) == 2 {
-		k.b = steadySpecKey{specs[1].App.Name, specs[1].DataMB, specs[1].Cfg}
-	}
-	return k
+	return k, false
 }
 
 // steadyMemoCap bounds the memo; at the cap it clears wholesale (the
@@ -595,21 +589,10 @@ func steadyKeyOf(specs []mapreduce.RunSpec) steadyKey {
 // churn cannot grow memory).
 const steadyMemoCap = 4096
 
-// SetSteadyMemo toggles memoization of per-node steady-state solves.
-// A hit is bit-identical to the solve it replaces (Steady is pure in
-// its spec list), so the memo composes with every equivalence golden;
-// it pays off when tenants recur — the sharded control plane enables
-// it on every shard. Nodes holding more than two residents bypass the
-// cache.
-func (s *OnlineScheduler) SetSteadyMemo(v bool) {
-	if v {
-		s.steadyMemo = make(map[steadyKey]steadyVal)
-	} else {
-		s.steadyMemo = nil
-	}
-}
-
-// Submit schedules a job arrival at the given simulated time.
+// Submit schedules a job arrival at the given simulated time. The job
+// is profiled inside its arrival event, and the fresh observation is
+// interned there: noisy profiling makes every arrival's profile unique,
+// so it takes a new table entry without a lookup.
 func (s *OnlineScheduler) Submit(app workloads.App, sizeGB, at float64) {
 	id := s.nextID
 	s.nextID++
@@ -619,32 +602,31 @@ func (s *OnlineScheduler) Submit(app workloads.App, sizeGB, at float64) {
 		if err != nil {
 			panic(fmt.Sprintf("core: online profile: %v", err)) // model inputs are validated at Submit
 		}
-		s.arrive(id, obs, at)
+		s.arrive(id, s.obs.add(obs), at)
 	})
 }
 
-// SubmitObserved schedules an arrival whose profile was measured by the
-// caller — the sharded router profiles serially at submission time (in
-// submission order, so the sampler's draw sequence matches the legacy
-// in-event profiling for nondecreasing arrival times) and hands each
-// shard a ready Observation plus a router-assigned cluster-global job
-// id. Submissions must be in nondecreasing time order (the router
-// enforces this). Do not mix with Submit on the same scheduler: Submit
-// owns the internal id counter.
+// pushArrival queues an arrival whose observation the sharded router
+// already interned in s.obs at index oid, under a router-assigned
+// cluster-global job id. The router profiles serially at submission
+// time (in submission order, so the sampler's draw sequence matches
+// in-event profiling for nondecreasing arrival times) and counts the
+// job in s.pending there; Run then deals each shard its arrivals, in
+// nondecreasing time order. Do not mix with Submit on the same
+// scheduler: Submit owns the internal id counter.
 //
 // Arrivals land in the ring, not the event heap: one AtHead event per
 // scheduler delivers the ring head, batch-draining everything sharing
 // its timestamp in submission order and re-arming at the next arrival
-// time. The AtHead priority reproduces the legacy ordering exactly —
-// per-job events scheduled before the run always outranked
-// runtime-scheduled completions at equal timestamps via their lower
-// seq, and the ring's head event must too.
-func (s *OnlineScheduler) SubmitObserved(id int, obs Observation, at float64) {
-	s.pending++
+// time. The AtHead priority reproduces per-job arrival events exactly —
+// those, scheduled before the run, always outranked runtime-scheduled
+// completions at equal timestamps via their lower seq, and the ring's
+// head event must too.
+func (s *OnlineScheduler) pushArrival(id int, oid uint32, at float64) {
 	if s.arrFire == nil {
 		s.arrFire = s.fireArrivals
 	}
-	s.arrQ = append(s.arrQ, pendingArrival{id: id, at: at, obs: obs})
+	s.arrQ = append(s.arrQ, pendingArrival{id: id, at: at, obs: oid})
 	if len(s.arrQ)-s.arrHead == 1 {
 		s.Engine.AtHead(at, s.arrFire)
 	}
@@ -658,7 +640,6 @@ func (s *OnlineScheduler) fireArrivals() {
 	now := s.Engine.Now()
 	for s.arrHead < len(s.arrQ) && s.arrQ[s.arrHead].at <= now {
 		p := s.arrQ[s.arrHead]
-		s.arrQ[s.arrHead] = pendingArrival{}
 		s.arrHead++
 		s.arrive(p.id, p.obs, p.at)
 	}
@@ -671,9 +652,11 @@ func (s *OnlineScheduler) fireArrivals() {
 }
 
 // arrive is the in-event half of submission: classify, queue, record,
-// dispatch. obs.SizeGB doubles as the nominal size (Observe preserves
-// the requested size exactly).
-func (s *OnlineScheduler) arrive(id int, obs Observation, at float64) {
+// dispatch. The observation is the table entry at oid; its SizeGB
+// doubles as the nominal size (Observe preserves the requested size
+// exactly).
+func (s *OnlineScheduler) arrive(id int, oid uint32, at float64) {
+	obs := &s.obs.obs[oid]
 	app, sizeGB := obs.App, obs.SizeGB
 	var j *Job
 	if k := len(s.jobPool); k > 0 {
@@ -683,13 +666,11 @@ func (s *OnlineScheduler) arrive(id int, obs Observation, at float64) {
 	} else {
 		j = new(Job)
 	}
-	*j = Job{
-		ID:      id,
-		Obs:     obs,
-		Class:   s.classify(obs),
-		EstTime: sizeGB,
-		Arrived: at,
-	}
+	j.ID = id
+	j.Obs = *obs
+	j.Class = s.classify(oid, obs)
+	j.EstTime = sizeGB
+	j.Arrived = at
 	s.queue.Push(j)
 	// app.Class is ground truth the prediction path never sees;
 	// recording it next to the Classify verdict is what makes the
@@ -738,12 +719,22 @@ func (s *OnlineScheduler) Run() (makespan, energyJ float64, err error) {
 			err = fmt.Errorf("core: online scheduler: %v", r)
 		}
 	}()
+	s.presizeCompleted()
+	// Every pending Submit interns one observation when it arrives.
+	s.obs.obs = slices.Grow(s.obs.obs, s.pending)
 	s.Engine.Run(0)
 	if s.pending > 0 {
 		return 0, 0, fmt.Errorf("core: online scheduler: %d jobs never completed", s.pending)
 	}
 	s.finishRun()
 	return s.Engine.Now(), s.energyJ, nil
+}
+
+// presizeCompleted reserves room for every pending job's completion
+// record, so the completion path never regrows the slice mid-run (a
+// thief shard that completes stolen jobs may still grow it).
+func (s *OnlineScheduler) presizeCompleted() {
+	s.completed = slices.Grow(s.completed, s.pending)
 }
 
 // finishRun closes out a drained run at the engine's current clock:
@@ -1166,7 +1157,7 @@ type tuneInfo struct {
 func (s *OnlineScheduler) tuneFor(n *onlineNode, j *Job) (mapreduce.Config, tuneInfo) {
 	if len(n.residents) == 1 {
 		resident := n.residents[0]
-		pairCfg, exp, err := predictExpected(s.Tuner, resident.job.Obs, j.Obs)
+		pairCfg, exp, err := predictPair(s.Tuner, &resident.job.Obs, &j.Obs)
 		if err == nil && pairCfg[0].Mappers+pairCfg[1].Mappers <= s.Model.Spec.Cores {
 			resident.cfg.Freq = pairCfg[0].Freq
 			resident.cfg.Mappers = pairCfg[0].Mappers
@@ -1268,19 +1259,15 @@ func (s *OnlineScheduler) reschedule(n *onlineNode) {
 		s.refreshPhaseWatts(n)
 		return
 	}
-	specs := s.specsInto(n)
-	if s.naive {
-		specs = n.specs()
-	}
 	var stsBuf [2]mapreduce.SteadyState
 	var sts []mapreduce.SteadyState
 	var watts float64
-	if s.steadyMemo != nil && len(specs) <= 2 {
-		k := steadyKeyOf(specs)
-		if v, ok := s.steadyMemo[k]; ok {
+	if k, ok := steadyKeyOf(n.residents); ok && !s.naive {
+		if v, hit := s.steadyMemo[k]; hit {
 			stsBuf, watts = v.sts, v.watts
 		} else {
-			out, w, err := s.Model.Steady(specs)
+			// Only a miss builds the resident specs.
+			out, w, err := s.Model.Steady(s.specsInto(n))
 			if err != nil {
 				panic(err)
 			}
@@ -1291,8 +1278,12 @@ func (s *OnlineScheduler) reschedule(n *onlineNode) {
 			}
 			s.steadyMemo[k] = steadyVal{sts: stsBuf, watts: w}
 		}
-		sts = stsBuf[:len(specs)]
+		sts = stsBuf[:len(n.residents)]
 	} else {
+		specs := s.specsInto(n)
+		if s.naive {
+			specs = n.specs()
+		}
 		out, w, err := s.Model.Steady(specs)
 		if err != nil {
 			panic(err)

@@ -281,14 +281,25 @@ func FuzzWaitQueueIndex(f *testing.F) {
 }
 
 // TestMemoSTPTransparency checks the memo wrapper end to end: repeat
-// predictions hit, hits return the exact first answer, and the metered
+// predictions of interned observations hit, hits return the exact first
+// answer, observations without a key bypass the cache, and the metered
 // wrapper's deterministic telemetry cannot tell the cache is there.
 func TestMemoSTPTransparency(t *testing.T) {
 	fixture(t)
 	reg := metrics.NewRegistry()
 	memo := NewMemoSTP(fix.lkt, reg)
-	a := obsOf(t, "wc", 5)
-	b := obsOf(t, "st", 5)
+	// The cache keys on interned ids: a caller-built value has none and
+	// goes straight to the inner technique without touching the counts.
+	rawA, rawB := obsOf(t, "wc", 5), obsOf(t, "st", 5)
+	if _, _, err := memo.PredictBestExpected(rawA, rawB); err != nil {
+		t.Fatal(err)
+	}
+	if h, m := memo.HitMiss(); h != 0 || m != 0 {
+		t.Fatalf("unkeyed prediction touched the cache: hits %d misses %d", h, m)
+	}
+	tab := newObsTable()
+	a := tab.obs[tab.add(rawA)]
+	b := tab.obs[tab.add(rawB)]
 	cfg1, exp1, err1 := memo.PredictBestExpected(a, b)
 	cfg2, exp2, err2 := memo.PredictBestExpected(a, b)
 	if err1 != nil || err2 != nil {

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -68,19 +69,24 @@ type ShardedScheduler struct {
 	shards []*OnlineScheduler
 	prof   *Profiler
 
-	// memo caches router profiles under ProfileMemo.
-	memo map[profileKey]Observation
+	// table interns every routed observation; all shards share it and
+	// only read it while they run. Under ProfileMemo, memo maps each
+	// (app, size) to its one table index.
+	table *obsTable
+	memo  map[profileKey]uint32
 
 	nextID int
 	lastAt float64
 	steals int
 
-	// arrTimes records every submitted arrival time in order (Submit
-	// enforces nondecreasing); arrCursor trails the run, pointing at the
-	// first arrival not yet fired. Together they give the elision loop
-	// the next instant a wait queue could possibly grow — the horizon a
-	// barrier-free window may run to.
-	arrTimes  []float64
+	// arrs records every submitted arrival in order (Submit enforces
+	// nondecreasing times) with its home shard. Run hands each shard its
+	// arrivals from dealt on, into a ring presized to the shard's count.
+	// arrCursor trails the run, pointing at the first arrival not yet
+	// fired: it gives the elision loop the next instant a wait queue
+	// could possibly grow — the horizon a barrier-free window may run to.
+	arrs      []routedArrival
+	dealt     int
 	arrCursor int
 
 	// fullBarriers forces the exact lock-step reference cadence (one
@@ -149,6 +155,15 @@ type profileKey struct {
 	sizeGB float64
 }
 
+// routedArrival is one submitted job: its global id, arrival time,
+// interned observation index and home shard.
+type routedArrival struct {
+	id    int
+	at    float64
+	obs   uint32
+	shard int32
+}
+
 // routeShard maps an application/tenant name to its home shard: FNV-1a
 // over the name, mod S. The hash is stable across processes and
 // platforms, so a recurring tenant always lands on the same shard —
@@ -185,9 +200,9 @@ func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, n
 	if cfg.StealBatch <= 0 {
 		cfg.StealBatch = DefaultStealBatch
 	}
-	c := &ShardedScheduler{cfg: cfg, prof: prof}
+	c := &ShardedScheduler{cfg: cfg, prof: prof, table: newObsTable()}
 	if cfg.ProfileMemo {
-		c.memo = make(map[profileKey]Observation)
+		c.memo = make(map[profileKey]uint32)
 	}
 	base := 0
 	for i := 0; i < cfg.Shards; i++ {
@@ -204,14 +219,10 @@ func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, n
 			return nil, fmt.Errorf("core: sharded scheduler: shard %d: %w", i, err)
 		}
 		sh.SetNodeBase(base)
-		// Steady-solve memoization is bit-identical to solving (proven
-		// by the single-shard equivalence golden) and recurring tenants
-		// concentrate per shard by construction, so every shard gets it.
-		sh.SetSteadyMemo(true)
-		// Classify is pure, so its memo is bit-identical too — and the
-		// shard never hands out *sim.Event pointers beyond the per-node
-		// completion handle it nils on fire, so event recycling is safe.
-		sh.SetClassMemo(true)
+		sh.obs = c.table
+		// The shard never hands out *sim.Event pointers beyond the
+		// per-node completion handle it nils on fire, so event recycling
+		// is safe.
 		sh.Engine.SetRecycle(true)
 		base += n
 		c.shards = append(c.shards, sh)
@@ -324,29 +335,57 @@ func (c *ShardedScheduler) Submit(app workloads.App, sizeGB, at float64) {
 		panic(fmt.Sprintf("core: sharded scheduler: out-of-order submission at %g after %g", at, c.lastAt))
 	}
 	c.lastAt = at
-	obs, err := c.profile(app, sizeGB)
+	oid, err := c.profile(app, sizeGB)
 	if err != nil {
 		panic(fmt.Sprintf("core: sharded profile: %v", err))
 	}
 	id := c.nextID
 	c.nextID++
-	c.arrTimes = append(c.arrTimes, at)
-	c.shards[routeShard(app.Name, len(c.shards))].SubmitObserved(id, obs, at)
+	home := routeShard(app.Name, len(c.shards))
+	c.shards[home].pending++
+	c.arrs = append(c.arrs, routedArrival{id: id, at: at, obs: oid, shard: int32(home)})
 }
 
-func (c *ShardedScheduler) profile(app workloads.App, sizeGB float64) (Observation, error) {
+// profile returns the table index of the job's observation. Noisy
+// profiling interns every arrival fresh; under ProfileMemo each
+// (app, size) is profiled and interned once.
+func (c *ShardedScheduler) profile(app workloads.App, sizeGB float64) (uint32, error) {
 	if c.memo == nil {
-		return c.prof.Observe(app, sizeGB)
+		obs, err := c.prof.Observe(app, sizeGB)
+		if err != nil {
+			return 0, err
+		}
+		return c.table.add(obs), nil
 	}
 	k := profileKey{app.Name, sizeGB}
-	if obs, ok := c.memo[k]; ok {
-		return obs, nil
+	if oid, ok := c.memo[k]; ok {
+		return oid, nil
 	}
 	obs, err := c.prof.ObserveExact(app, sizeGB)
-	if err == nil {
-		c.memo[k] = obs
+	if err != nil {
+		return 0, err
 	}
-	return obs, err
+	oid := c.table.add(obs)
+	c.memo[k] = oid
+	return oid, nil
+}
+
+// deal hands every arrival submitted since the last deal to its home
+// shard's ring, each ring grown once to its shard's share, and presizes
+// every shard's completion log.
+func (c *ShardedScheduler) deal() {
+	counts := make([]int, len(c.shards))
+	for _, a := range c.arrs[c.dealt:] {
+		counts[a.shard]++
+	}
+	for i, sh := range c.shards {
+		sh.arrQ = slices.Grow(sh.arrQ, counts[i])
+		sh.presizeCompleted()
+	}
+	for _, a := range c.arrs[c.dealt:] {
+		c.shards[a.shard].pushArrival(a.id, a.obs, a.at)
+	}
+	c.dealt = len(c.arrs)
 }
 
 // SetFullBarriers forces the exact lock-step reference cadence: one
@@ -386,6 +425,7 @@ func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 			err = fmt.Errorf("core: sharded scheduler: %v", r)
 		}
 	}()
+	c.deal()
 	c.startWorkers()
 	defer c.stopWorkers()
 	switch {
@@ -480,12 +520,12 @@ func (c *ShardedScheduler) runElided() {
 			// Every arrival strictly before t has fired: each shard's
 			// earliest unfired arrival keeps a pending event at its
 			// time, so the global min next-event time t bounds it.
-			for c.arrCursor < len(c.arrTimes) && c.arrTimes[c.arrCursor] < t {
+			for c.arrCursor < len(c.arrs) && c.arrs[c.arrCursor].at < t {
 				c.arrCursor++
 			}
 			horizon := math.Inf(1)
-			if c.arrCursor < len(c.arrTimes) {
-				horizon = c.arrTimes[c.arrCursor]
+			if c.arrCursor < len(c.arrs) {
+				horizon = c.arrs[c.arrCursor].at
 			}
 			if horizon > t {
 				c.gatherActive(horizon, true)

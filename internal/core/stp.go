@@ -107,6 +107,16 @@ func predictExpected(t STP, a, b Observation) ([2]mapreduce.Config, PairExpectat
 	return cfg, PairExpectation{}, err
 }
 
+// predictPair is predictExpected for the scheduler's interned
+// observations: a bare MemoSTP is asked through its pointer entry, so a
+// cache hit copies neither observation.
+func predictPair(t STP, a, b *Observation) ([2]mapreduce.Config, PairExpectation, error) {
+	if m, ok := t.(*MemoSTP); ok {
+		return m.predict(a, b)
+	}
+	return predictExpected(t, *a, *b)
+}
+
 // MeteredSTP wraps any STP technique with observability: prediction
 // counts, the per-prediction candidate-scan size (the deterministic
 // latency proxy), wall-clock prediction latency (volatile — real time

@@ -1,9 +1,10 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"ecost/internal/core"
 	"ecost/internal/scenario"
@@ -32,7 +33,9 @@ type QueueStats struct {
 
 // StreamStats computes the queueing observables of a finished online
 // run. makespan bounds the busy-time integral; it is the scheduler's
-// reported makespan (max finish time).
+// reported makespan (max finish time). Every sum runs in a fixed order
+// (node id, then queue depth), so the stats are bit-identical run to
+// run.
 func StreamStats(done []core.CompletedJob, nodes int, makespan float64) QueueStats {
 	var qs QueueStats
 	if len(done) == 0 || nodes <= 0 || makespan <= 0 {
@@ -41,17 +44,36 @@ func StreamStats(done []core.CompletedJob, nodes int, makespan float64) QueueSta
 
 	// Utilization: per-node union of [Started, Finished) intervals
 	// (co-located jobs overlap; the union counts the wall time the
-	// node held at least one resident).
+	// node held at least one resident). The intervals are bucketed by
+	// node with a counting sort into one flat slice, then each node's
+	// run is sorted by start and swept.
 	type iv struct{ s, e float64 }
-	byNode := map[int][]iv{}
+	span := nodes
 	for _, c := range done {
-		byNode[c.Node] = append(byNode[c.Node], iv{c.Started, c.Finished})
+		span = max(span, c.Node+1)
+	}
+	off := make([]int, span+1)
+	for _, c := range done {
+		off[c.Node+1]++
+	}
+	for n := 1; n <= span; n++ {
+		off[n] += off[n-1]
+	}
+	ivs := make([]iv, len(done))
+	fill := slices.Clone(off[:span])
+	for _, c := range done {
+		ivs[fill[c.Node]] = iv{c.Started, c.Finished}
+		fill[c.Node]++
 	}
 	busy := 0.0
-	for _, ivs := range byNode {
-		sort.Slice(ivs, func(i, j int) bool { return ivs[i].s < ivs[j].s })
-		curS, curE := ivs[0].s, ivs[0].e
-		for _, v := range ivs[1:] {
+	for n := 0; n < span; n++ {
+		run := ivs[off[n]:off[n+1]]
+		if len(run) == 0 {
+			continue
+		}
+		slices.SortFunc(run, func(a, b iv) int { return cmp.Compare(a.s, b.s) })
+		curS, curE := run[0].s, run[0].e
+		for _, v := range run[1:] {
 			if v.s > curE {
 				busy += curE - curS
 				curS, curE = v.s, v.e
@@ -75,17 +97,27 @@ func StreamStats(done []core.CompletedJob, nodes int, makespan float64) QueueSta
 	for _, c := range done {
 		evs = append(evs, ev{c.Submitted, +1}, ev{c.Started, -1})
 	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].at != evs[j].at {
-			return evs[i].at < evs[j].at
+	slices.SortFunc(evs, func(a, b ev) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
 		}
-		return evs[i].d < evs[j].d // starts drain before same-instant submits
+		return a.d - b.d // starts drain before same-instant submits
 	})
-	levelDur := map[int]float64{}
+	// levelDur[l] is the time spent at depth l. Depth is never negative
+	// between instants — a job starts no earlier than it is submitted —
+	// so the clamp only keeps malformed input from indexing below 0.
+	var levelDur []float64
+	addLevel := func(depth int, d float64) {
+		depth = max(depth, 0)
+		if depth >= len(levelDur) {
+			levelDur = append(levelDur, make([]float64, depth+1-len(levelDur))...)
+		}
+		levelDur[depth] += d
+	}
 	depth, prevAt := 0, 0.0
 	for _, e := range evs {
 		if e.at > prevAt {
-			levelDur[depth] += e.at - prevAt
+			addLevel(depth, e.at-prevAt)
 			prevAt = e.at
 		}
 		depth += e.d
@@ -94,22 +126,27 @@ func StreamStats(done []core.CompletedJob, nodes int, makespan float64) QueueSta
 		}
 	}
 	if makespan > prevAt {
-		levelDur[depth] += makespan - prevAt
+		addLevel(depth, makespan-prevAt)
 	}
-	levels := make([]int, 0, len(levelDur))
 	total := 0.0
+	top := -1
 	for l, d := range levelDur {
-		levels = append(levels, l)
+		if d == 0 {
+			continue
+		}
 		total += d
 		qs.MeanQueueLen += float64(l) * d
+		top = l
 	}
 	if total > 0 {
 		qs.MeanQueueLen /= total
-		sort.Ints(levels)
 		cum := 0.0
-		qs.P95QueueLen = float64(levels[len(levels)-1])
-		for _, l := range levels {
-			cum += levelDur[l]
+		qs.P95QueueLen = float64(top)
+		for l, d := range levelDur {
+			if d == 0 {
+				continue
+			}
+			cum += d
 			if cum >= 0.95*total {
 				qs.P95QueueLen = float64(l)
 				break
@@ -123,8 +160,8 @@ func StreamStats(done []core.CompletedJob, nodes int, makespan float64) QueueSta
 		waits = append(waits, c.Started-c.Submitted)
 		sojourns = append(sojourns, c.Finished-c.Submitted)
 	}
-	sort.Float64s(waits)
-	sort.Float64s(sojourns)
+	slices.Sort(waits)
+	slices.Sort(sojourns)
 	qs.WaitP50, qs.WaitP95, qs.WaitP99 = pct(waits, 0.50), pct(waits, 0.95), pct(waits, 0.99)
 	qs.SojournP50, qs.SojournP95, qs.SojournP99 = pct(sojourns, 0.50), pct(sojourns, 0.95), pct(sojourns, 0.99)
 	return qs

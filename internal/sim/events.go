@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // Event is a callback scheduled at a point in simulated time.
 type Event struct {
 	// At is the absolute simulated time (seconds) the event fires.
@@ -10,36 +8,95 @@ type Event struct {
 	Fire func()
 
 	seq   int64 // tiebreaker: FIFO among equal timestamps
-	index int   // heap bookkeeping
+	index int   // heap slot; -1 once fired or cancelled
 }
 
-// eventHeap is a min-heap ordered by (At, seq).
+// before reports whether a fires ahead of b: (At, seq) lexicographic.
+// seq is unique per engine (At/After count up from 0, AtHead counts
+// down from -1), so this is a strict total order on the pending set and
+// the fire sequence is independent of how the heap arranges ties.
+func before(a, b *Event) bool {
+	return a.At < b.At || (a.At == b.At && a.seq < b.seq)
+}
+
+// eventHeap is a 4-ary min-heap under before. It is typed — push, pop
+// and remove compare *Event directly instead of dispatching through
+// container/heap's interface — and 4-ary, which halves the tree depth
+// and keeps a node's children adjacent in the slice. Every Event's
+// index field tracks its slot so Cancel removes in O(log n).
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].seq < h[j].seq
+// push inserts ev.
+func (h *eventHeap) push(ev *Event) {
+	*h = append(*h, ev)
+	h.up(len(*h)-1, ev)
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// pop removes and returns the minimum; the heap must be non-empty.
+func (h *eventHeap) pop() *Event {
+	return h.remove(0)
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
+
+// remove deletes the event in slot i and returns it, refilling the slot
+// with the last event and sifting that one into place.
+func (h *eventHeap) remove(i int) *Event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	n := len(old) - 1
+	ev, last := old[i], old[n]
+	old[n] = nil
+	*h = old[:n]
+	if i < n {
+		if i > 0 && before(last, old[(i-1)/4]) {
+			h.up(i, last)
+		} else {
+			h.down(i, last)
+		}
+	}
+	ev.index = -1
+	return ev
+}
+
+// up places ev, destined for slot i, by moving later-firing ancestors
+// down until its parent fires first.
+func (h eventHeap) up(i int, ev *Event) {
+	for i > 0 {
+		p := (i - 1) / 4
+		pe := h[p]
+		if !before(ev, pe) {
+			break
+		}
+		h[i] = pe
+		pe.index = i
+		i = p
+	}
+	h[i] = ev
+	ev.index = i
+}
+
+// down places ev, destined for slot i, by moving its earliest child up
+// until ev fires no later than every child.
+func (h eventHeap) down(i int, ev *Event) {
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for k, end := c+1, min(c+4, n); k < end; k++ {
+			if before(h[k], h[m]) {
+				m = k
+			}
+		}
+		if !before(h[m], ev) {
+			break
+		}
+		h[i] = h[m]
+		h[i].index = i
+		i = m
+	}
+	h[i] = ev
+	ev.index = i
 }
 
 // Engine is a minimal deterministic discrete-event simulation kernel.
@@ -108,7 +165,7 @@ func (e *Engine) At(t float64, fn func()) *Event {
 	}
 	ev := e.alloc(t, fn, e.seq)
 	e.seq++
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 	return ev
 }
 
@@ -127,7 +184,7 @@ func (e *Engine) AtHead(t float64, fn func()) *Event {
 	}
 	e.headSeq--
 	ev := e.alloc(t, fn, e.headSeq)
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 	return ev
 }
 
@@ -145,8 +202,7 @@ func (e *Engine) Cancel(ev *Event) bool {
 	if ev == nil || ev.index < 0 || ev.index >= len(e.events) || e.events[ev.index] != ev {
 		return false
 	}
-	heap.Remove(&e.events, ev.index)
-	ev.index = -1
+	e.events.remove(ev.index)
 	if e.recycle {
 		ev.Fire = nil
 		e.free = append(e.free, ev)
@@ -211,8 +267,7 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*Event)
-	ev.index = -1
+	ev := e.events.pop()
 	e.now = ev.At
 	e.fired++
 	ev.Fire()
