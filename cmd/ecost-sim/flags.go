@@ -8,8 +8,8 @@ import (
 	"ecost/internal/scenario"
 )
 
-// runFlags is the parsed flag set that participates in cross-flag
-// validation. Online carries the post-implication value (-metrics and
+// runFlags is the parsed flag set: main parses into it, cross-flag
+// validation checks it, and the online runner reads it. Online carries the post-implication value (-metrics and
 // gen: scenarios silently enable -online before validation runs);
 // ScenarioGen is whether -scenario named a gen: spec rather than a
 // WS workload, and Scenario the raw -scenario value.
@@ -35,8 +35,8 @@ type runFlags struct {
 	HealthReport    bool
 
 	// Shards is the -shards value and ShardsSet whether the user passed
-	// the flag at all (the default 1 is the unsharded control plane and
-	// needs no -online; an explicit -shards is an online request).
+	// the flag at all (the default 1 = one shard needs no -online; an
+	// explicit -shards is an online request).
 	Shards    int
 	ShardsSet bool
 	Steal     bool
@@ -83,7 +83,7 @@ func (f runFlags) contradiction() string {
 		return "-metrics-json and -metrics-volatile shape the -metrics snapshot; pass -metrics as well"
 	}
 	if f.ShardsSet && f.Shards < 1 {
-		return "-shards must be at least 1 (1 = the single unsharded control plane)"
+		return "-shards must be at least 1 (1 = one shard)"
 	}
 	if f.Shards > f.Nodes {
 		return "-shards cannot exceed -nodes; every shard owns at least one node"

@@ -15,6 +15,14 @@
 //	ecost-sim -scenario WS4 -online -trace-out trace.json -edp-report
 //	ecost-sim -scenario WS4 -online -quality-report
 //	ecost-sim -scenario WS4 -online -serve :9090
+//	ecost-sim -scenario WS4 -online -nodes 8 -shards 4 -steal -metrics
+//
+// Every online run drives the sharded control plane: -shards N
+// partitions the cluster into N per-shard schedulers over disjoint node
+// slices with hash-routed submissions (default 1 = one shard, the whole
+// cluster under a single scheduler), and -steal lets idle shards claim
+// queued jobs at event barriers. The shard/steal and barrier lines and
+// the per-shard "== shard N ==" sections print only with -shards 2+.
 //
 // -scenario accepts either a named workload (WS1..WS8) or a generated
 // heavy-traffic scenario in the `gen:` grammar of internal/scenario
@@ -61,53 +69,44 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
 
-	"ecost/internal/audit"
 	"ecost/internal/cliutil"
-	"ecost/internal/cluster"
 	"ecost/internal/core"
 	"ecost/internal/experiments"
-	"ecost/internal/mapreduce"
-	"ecost/internal/metrics"
 	"ecost/internal/scenario"
-	"ecost/internal/sim"
 	"ecost/internal/trace"
-	"ecost/internal/tracing"
 )
 
 func main() {
-	scenarioFlag := flag.String("scenario", "WS4", "workload scenario WS1..WS8, or a generated stream 'gen:jobs=N[;arrivals=…][;sizes=…][;mix=…]' (implies -online)")
+	var rf runFlags
+	flag.StringVar(&rf.Scenario, "scenario", "WS4", "workload scenario WS1..WS8, or a generated stream 'gen:jobs=N[;arrivals=…][;sizes=…][;mix=…]' (implies -online)")
 	policy := flag.String("policy", "ECoST", "mapping policy: SM, MNM1, MNM2, SNM, CBM, PTM, ECoST, UB")
-	nodes := flag.Int("nodes", 4, "cluster size")
-	online := flag.Bool("online", false, "run the event-driven online scheduler instead of batch mapping")
-	arrival := flag.Float64("arrival", 0, "mean inter-arrival seconds for -online workload streams (0 = all at t=0)")
-	arrivalsFlag := flag.String("arrivals", "", "override a gen: scenario's arrival process, e.g. poisson:60, mmpp:calm=300,burst=10, diurnal:mean=60,amp=0.8")
-	jobs := flag.Int("jobs", 0, "scale the online job stream to this many jobs by cycling the scenario's list (0 = scenario as-is; requires -online)")
-	traceRecord := flag.String("trace-record", "", "write the arrival stream as a JSONL trace to this file before running (requires -online)")
-	traceReplay := flag.String("trace-replay", "", "replay a recorded JSONL arrival trace instead of generating a stream (requires -online)")
+	flag.IntVar(&rf.Nodes, "nodes", 4, "cluster size")
+	flag.BoolVar(&rf.Online, "online", false, "run the event-driven online scheduler instead of batch mapping")
+	flag.Float64Var(&rf.Arrival, "arrival", 0, "mean inter-arrival seconds for -online workload streams (0 = all at t=0)")
+	flag.StringVar(&rf.Arrivals, "arrivals", "", "override a gen: scenario's arrival process, e.g. poisson:60, mmpp:calm=300,burst=10, diurnal:mean=60,amp=0.8")
+	flag.IntVar(&rf.Jobs, "jobs", 0, "scale the online job stream to this many jobs by cycling the scenario's list (0 = scenario as-is; requires -online)")
+	flag.StringVar(&rf.TraceRecord, "trace-record", "", "write the arrival stream as a JSONL trace to this file before running (requires -online)")
+	flag.StringVar(&rf.TraceReplay, "trace-replay", "", "replay a recorded JSONL arrival trace instead of generating a stream (requires -online)")
 	seed := flag.Int64("seed", 42, "random seed")
-	emitMetrics := flag.Bool("metrics", false, "collect and print an observability snapshot (implies -online)")
-	metricsJSON := flag.Bool("metrics-json", false, "print the -metrics snapshot as JSON instead of text")
-	metricsVolatile := flag.Bool("metrics-volatile", false, "include wall-clock (non-deterministic) sections in the -metrics snapshot")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON of the online run to this file (requires -online)")
-	timelineOut := flag.String("timeline-out", "", "write the deterministic span timeline of the online run to this file (requires -online)")
-	edpReport := flag.Bool("edp-report", false, "print the per-job / per-class EDP attribution report after the online run (requires -online)")
-	qualityReport := flag.Bool("quality-report", false, "print the decision-quality report (confusion, STP error, regret, drift) after the online run (requires -online)")
-	serveAddr := flag.String("serve", "", "serve /metrics, /trace, /report, /decisions, /quality, and /debug/pprof/ on this address during and after the online run (requires -online)")
-	shards := flag.Int("shards", 1, "partition the online cluster into this many per-shard schedulers with hash-routed submissions (requires -online; 1 = the single control plane)")
-	steal := flag.Bool("steal", false, "let idle shards steal queued jobs at event barriers (requires -shards 2+)")
-	flightOut := flag.String("flight-out", "", "write the flight recorder's anomaly-triggered epoch dumps as JSONL to this file after the run (requires -shards 2+; epoch records need every global event time, so the recorder pins the exact barrier cadence instead of eliding barriers)")
-	healthReport := flag.Bool("health-report", false, "print the shard-health report (steal flow, fairness, queue slope, power skew) after the run (requires -shards 2+)")
+	flag.BoolVar(&rf.Metrics, "metrics", false, "collect and print an observability snapshot (implies -online)")
+	flag.BoolVar(&rf.MetricsJSON, "metrics-json", false, "print the -metrics snapshot as JSON instead of text")
+	flag.BoolVar(&rf.MetricsVolatile, "metrics-volatile", false, "include wall-clock (non-deterministic) sections in the -metrics snapshot")
+	flag.StringVar(&rf.TraceOut, "trace-out", "", "write a Chrome trace_event JSON of the online run to this file (requires -online)")
+	flag.StringVar(&rf.TimelineOut, "timeline-out", "", "write the deterministic span timeline of the online run to this file (requires -online)")
+	flag.BoolVar(&rf.EDPReport, "edp-report", false, "print the per-job / per-class EDP attribution report after the online run (requires -online)")
+	flag.BoolVar(&rf.QualityReport, "quality-report", false, "print the decision-quality report (confusion, STP error, regret, drift) after the online run (requires -online)")
+	flag.StringVar(&rf.ServeAddr, "serve", "", "serve /metrics, /trace, /report, /decisions, /quality, and /debug/pprof/ on this address during and after the online run (requires -online)")
+	flag.IntVar(&rf.Shards, "shards", 1, "partition the online cluster into this many per-shard schedulers with hash-routed submissions (requires -online; 1 = one shard)")
+	flag.BoolVar(&rf.Steal, "steal", false, "let idle shards steal queued jobs at event barriers (requires -shards 2+)")
+	flag.StringVar(&rf.FlightOut, "flight-out", "", "write the flight recorder's anomaly-triggered epoch dumps as JSONL to this file after the run (requires -shards 2+; epoch records need every global event time, so the recorder pins the exact barrier cadence instead of eliding barriers)")
+	flag.BoolVar(&rf.HealthReport, "health-report", false, "print the shard-health report (steal flow, fairness, queue slope, power skew) after the run (requires -shards 2+)")
 	logLevel := flag.String("log-level", "warn", "log verbosity: debug, info, warn, error")
 	flag.Parse()
 
@@ -115,45 +114,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ecost-sim:", err)
 		os.Exit(cliutil.ExitUsage)
 	}
-	if *emitMetrics && !*online {
+	if rf.Metrics && !rf.Online {
 		slog.Warn("-metrics instruments the online scheduler; enabling -online")
-		*online = true
+		rf.Online = true
 	}
-	genMode := strings.HasPrefix(*scenarioFlag, "gen:")
-	if genMode && !*online {
+	rf.ScenarioGen = strings.HasPrefix(rf.Scenario, "gen:")
+	if rf.ScenarioGen && !rf.Online {
 		slog.Warn("gen: scenarios drive the online scheduler; enabling -online")
-		*online = true
+		rf.Online = true
 	}
-	shardsSet := false
 	flag.Visit(func(fl *flag.Flag) {
 		if fl.Name == "shards" {
-			shardsSet = true
+			rf.ShardsSet = true
 		}
 	})
-	rf := runFlags{
-		Online:          *online,
-		Nodes:           *nodes,
-		Jobs:            *jobs,
-		Arrival:         *arrival,
-		Scenario:        *scenarioFlag,
-		ScenarioGen:     genMode,
-		Arrivals:        *arrivalsFlag,
-		TraceRecord:     *traceRecord,
-		TraceReplay:     *traceReplay,
-		Metrics:         *emitMetrics,
-		MetricsJSON:     *metricsJSON,
-		MetricsVolatile: *metricsVolatile,
-		TraceOut:        *traceOut,
-		TimelineOut:     *timelineOut,
-		EDPReport:       *edpReport,
-		QualityReport:   *qualityReport,
-		ServeAddr:       *serveAddr,
-		FlightOut:       *flightOut,
-		HealthReport:    *healthReport,
-		Shards:          *shards,
-		ShardsSet:       shardsSet,
-		Steal:           *steal,
-	}
 	if msg := rf.contradiction(); msg != "" {
 		cliutil.Usagef(msg)
 	}
@@ -162,7 +136,7 @@ func main() {
 	}
 
 	var genSpec scenario.Spec
-	if genMode {
+	if rf.ScenarioGen {
 		var err error
 		if genSpec, err = rf.genSpec(*seed); err != nil {
 			cliutil.Usagef("bad -scenario gen: spec", "err", err)
@@ -170,9 +144,9 @@ func main() {
 	}
 
 	var wl core.Workload
-	if !genMode && *traceReplay == "" {
+	if !rf.ScenarioGen && rf.TraceReplay == "" {
 		var err error
-		wl, err = core.Scenario(*scenarioFlag)
+		wl, err = core.Scenario(rf.Scenario)
 		if err != nil {
 			cliutil.Usagef("bad -scenario", "err", err)
 		}
@@ -185,110 +159,15 @@ func main() {
 		cliutil.Fatalf("building environment failed", "err", err)
 	}
 
-	if *online {
-		arrivals, header, perJobTable := buildStream(wl, genMode, genSpec, *traceReplay, *jobs, *arrival, *seed, *nodes)
-		if *traceRecord != "" {
-			if err := writeArtifact(*traceRecord, func(w io.Writer) error {
+	if rf.Online {
+		arrivals, header, perJobTable := buildStream(wl, rf, genSpec, *seed)
+		if rf.TraceRecord != "" {
+			writeArtifact("-trace-record", rf.TraceRecord, func(w io.Writer) error {
 				return scenario.WriteTrace(w, arrivals)
-			}); err != nil {
-				cliutil.Fatalf("writing -trace-record failed", "err", err)
-			}
-			slog.Info("recorded arrival trace", "path", *traceRecord, "arrivals", len(arrivals))
-		}
-		if *shards > 1 {
-			runOnlineSharded(env, *nodes, *shards, *steal, arrivals, header, perJobTable, shardedOut{
-				metrics:         *emitMetrics,
-				metricsJSON:     *metricsJSON,
-				metricsVolatile: *metricsVolatile,
-				traceOut:        *traceOut,
-				timelineOut:     *timelineOut,
-				edpReport:       *edpReport,
-				qualityReport:   *qualityReport,
-				serveAddr:       *serveAddr,
-				flightOut:       *flightOut,
-				healthReport:    *healthReport,
 			})
-			return
+			slog.Info("recorded arrival trace", "path", rf.TraceRecord, "arrivals", len(arrivals))
 		}
-		var reg *metrics.Registry
-		if *emitMetrics || *serveAddr != "" {
-			reg = metrics.NewRegistry()
-		}
-		eng := sim.NewEngine()
-		var tr *tracing.Tracer
-		if *traceOut != "" || *timelineOut != "" || *edpReport || *serveAddr != "" {
-			tr = tracing.New(eng.Clock())
-		}
-		var aud *audit.Log
-		if *qualityReport || *serveAddr != "" {
-			aud = audit.NewLog(audit.DriftConfig{})
-		}
-		qualityOracle := core.NewAuditOracle(env.Oracle)
-		var srv *http.Server
-		if *serveAddr != "" {
-			ln, err := net.Listen("tcp", *serveAddr)
-			if err != nil {
-				cliutil.Fatalf("-serve listen failed", "err", err)
-			}
-			srv = &http.Server{Handler: newServeMux(serveSources{
-				regs:     []*metrics.Registry{reg},
-				trs:      []*tracing.Tracer{tr},
-				auds:     []*audit.Log{aud},
-				qo:       qualityOracle,
-				volatile: *metricsVolatile,
-			})}
-			go func() {
-				if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-					slog.Error("observability server failed", "err", err)
-				}
-			}()
-			fmt.Fprintf(os.Stderr, "serving observability endpoints on http://%s/\n", ln.Addr())
-		}
-		runOnline(env, eng, tr, aud, *nodes, arrivals, reg, header, perJobTable)
-		if *traceOut != "" {
-			if err := writeArtifact(*traceOut, tr.WriteChromeTrace); err != nil {
-				cliutil.Fatalf("writing -trace-out failed", "err", err)
-			}
-			slog.Info("wrote Chrome trace", "path", *traceOut)
-		}
-		if *timelineOut != "" {
-			if err := writeArtifact(*timelineOut, tr.WriteTimeline); err != nil {
-				cliutil.Fatalf("writing -timeline-out failed", "err", err)
-			}
-			slog.Info("wrote span timeline", "path", *timelineOut)
-		}
-		if *edpReport {
-			fmt.Println()
-			if err := tr.Report().WriteText(os.Stdout); err != nil {
-				cliutil.Fatalf("writing -edp-report failed", "err", err)
-			}
-		}
-		if *qualityReport {
-			fmt.Println()
-			if err := aud.Quality(qualityOracle).WriteText(os.Stdout); err != nil {
-				cliutil.Fatalf("writing -quality-report failed", "err", err)
-			}
-		}
-		if *emitMetrics {
-			fmt.Println()
-			snap := reg.Snapshot(*metricsVolatile)
-			var werr error
-			if *metricsJSON {
-				werr = snap.WriteJSON(os.Stdout)
-			} else {
-				werr = snap.WriteText(os.Stdout)
-			}
-			if werr != nil {
-				cliutil.Fatalf("writing -metrics snapshot failed", "err", werr)
-			}
-		}
-		if srv != nil {
-			fmt.Fprintln(os.Stderr, "run finished; endpoints stay up — interrupt (Ctrl-C) to exit")
-			ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-			<-ctx.Done()
-			stop()
-			srv.Close()
-		}
+		runOnline(env, rf, arrivals, header, perJobTable)
 		return
 	}
 
@@ -303,32 +182,35 @@ func main() {
 		cliutil.Usagef("unknown -policy", "policy", *policy)
 	}
 	runner := &core.PolicyRunner{Oracle: env.Oracle, DB: env.DB, Tuner: env.LkT, Profiler: env.Profiler}
-	res, err := runner.Run(pol, wl, *nodes)
+	res, err := runner.Run(pol, wl, rf.Nodes)
 	if err != nil {
 		cliutil.Fatalf("policy run failed", "policy", pol.String(), "err", err)
 	}
-	ub, err := runner.Run(core.UB, wl, *nodes)
+	ub, err := runner.Run(core.UB, wl, rf.Nodes)
 	if err != nil {
 		cliutil.Fatalf("UB baseline run failed", "err", err)
 	}
-	fmt.Printf("policy %v on %d node(s):\n", pol, *nodes)
+	fmt.Printf("policy %v on %d node(s):\n", pol, rf.Nodes)
 	fmt.Printf("  makespan  %.0f s\n", res.Makespan)
 	fmt.Printf("  energy    %.0f J\n", res.EnergyJ)
 	fmt.Printf("  EDP       %.4g J·s\n", res.EDP)
 	fmt.Printf("  vs UB     %.2fx (UB EDP %.4g)\n", res.EDP/ub.EDP, ub.EDP)
 }
 
-// writeArtifact streams one exporter into a freshly created file.
-func writeArtifact(path string, write func(io.Writer) error) error {
+// writeArtifact streams one exporter into a freshly created file and
+// exits through cliutil.Fatalf when the flag's target cannot be
+// written.
+func writeArtifact(flagName, path string, write func(io.Writer) error) {
 	f, err := os.Create(path)
+	if err == nil {
+		err = write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
-		return err
+		cliutil.Fatalf("writing "+flagName+" failed", "err", err)
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // buildStream resolves the online arrival stream from the three
@@ -339,9 +221,9 @@ func writeArtifact(path string, write func(io.Writer) error) error {
 // It returns the stream, the run header, and whether the per-job
 // completion table should be printed (plain workload runs only —
 // stream runs report queueing observables instead).
-func buildStream(wl core.Workload, genMode bool, spec scenario.Spec, traceReplay string, jobs int, arrival float64, seed int64, nodes int) ([]trace.Arrival, string, bool) {
-	if traceReplay != "" {
-		f, err := os.Open(traceReplay)
+func buildStream(wl core.Workload, rf runFlags, spec scenario.Spec, seed int64) ([]trace.Arrival, string, bool) {
+	if rf.TraceReplay != "" {
+		f, err := os.Open(rf.TraceReplay)
 		if err != nil {
 			cliutil.Fatalf("opening -trace-replay failed", "err", err)
 		}
@@ -350,71 +232,21 @@ func buildStream(wl core.Workload, genMode bool, spec scenario.Spec, traceReplay
 		if err != nil {
 			cliutil.Fatalf("reading -trace-replay failed", "err", err)
 		}
-		header := fmt.Sprintf("online ECoST on %d node(s), replaying %s (%d arrivals):", nodes, traceReplay, len(arrivals))
+		header := fmt.Sprintf("online ECoST on %d node(s), replaying %s (%d arrivals):", rf.Nodes, rf.TraceReplay, len(arrivals))
 		return arrivals, header, false
 	}
-	if genMode {
+	if rf.ScenarioGen {
 		arrivals, err := scenario.Generate(spec)
 		if err != nil {
 			cliutil.Usagef("bad -scenario gen: spec", "err", err)
 		}
-		header := fmt.Sprintf("online ECoST on %d node(s), scenario %s, seed %d:", nodes, spec.String(), seed)
+		header := fmt.Sprintf("online ECoST on %d node(s), scenario %s, seed %d:", rf.Nodes, spec.String(), seed)
 		return arrivals, header, false
 	}
-	arrivals, err := scenario.FromWorkload(wl, jobs, arrival, seed)
+	arrivals, err := scenario.FromWorkload(wl, rf.Jobs, rf.Arrival, seed)
 	if err != nil {
 		cliutil.Fatalf("building workload stream failed", "err", err)
 	}
-	header := fmt.Sprintf("online ECoST on %d node(s), mean inter-arrival %.0fs:", nodes, arrival)
-	return arrivals, header, jobs == 0
-}
-
-func runOnline(env *experiments.Env, eng *sim.Engine, tr *tracing.Tracer, aud *audit.Log, nodes int, arrivals []trace.Arrival, reg *metrics.Registry, header string, perJobTable bool) {
-	model := mapreduce.NewModel(cluster.AtomC2758())
-	// Recurring jobs re-ask the tuner the same question; the memo cache
-	// answers repeats in one lookup. MeteredSTP unwraps it for the
-	// deterministic scan-size metric and the hit/miss counters are
-	// volatile, so -metrics snapshots are byte-identical either way.
-	memo := core.NewMemoSTP(env.LkT, reg)
-	var tuner core.STP = memo
-	if reg != nil {
-		// The model here is private to the online run, so steady-state
-		// telemetry stays scoped to it; the STP wrapper adds prediction
-		// counters and the predicted-vs-realized EDP error.
-		model.Metrics = reg
-		tuner = core.NewMeteredSTP(memo, model, reg)
-	}
-	sched, err := core.NewOnlineScheduler(eng, model, env.DB, tuner, env.Profiler, nodes)
-	if err != nil {
-		cliutil.Fatalf("building online scheduler failed", "err", err)
-	}
-	sched.SetMetrics(reg)
-	sched.SetTracer(tr)
-	sched.SetAudit(aud)
-	for _, a := range arrivals {
-		sched.Submit(a.App, a.SizeGB, a.At)
-	}
-	trace.Record(arrivals, reg)
-	makespan, energy, err := sched.Run()
-	if err != nil {
-		cliutil.Fatalf("online run failed", "err", err)
-	}
-	fmt.Println(header)
-	fmt.Printf("  makespan %.0f s, energy %.0f J, EDP %.4g J·s\n\n", makespan, energy, energy*makespan)
-	done := sched.Completed()
-	if !perJobTable {
-		fmt.Printf("%d jobs completed\n", len(done))
-		qs := experiments.StreamStats(done, nodes, makespan)
-		fmt.Printf("  utilization        %.3f\n", qs.Utilization)
-		fmt.Printf("  queue length       mean %.2f, p95 %.0f, max %d\n", qs.MeanQueueLen, qs.P95QueueLen, qs.MaxQueueLen)
-		fmt.Printf("  wait p50/p95/p99   %.1f / %.1f / %.1f s\n", qs.WaitP50, qs.WaitP95, qs.WaitP99)
-		fmt.Printf("  sojourn p50/p95/p99 %.1f / %.1f / %.1f s\n", qs.SojournP50, qs.SojournP95, qs.SojournP99)
-		return
-	}
-	fmt.Printf("%-4s %-5s %-6s %-5s %9s %9s %9s %5s %s\n",
-		"id", "app", "class", "size", "submit", "start", "finish", "node", "config")
-	for _, c := range done {
-		fmt.Printf("%-4d %-5s %-6v %4.0fG %9.0f %9.0f %9.0f %5d %v\n",
-			c.ID, c.App, c.Class, c.SizeGB, c.Submitted, c.Started, c.Finished, c.Node, c.Cfg)
-	}
+	header := fmt.Sprintf("online ECoST on %d node(s), mean inter-arrival %.0fs:", rf.Nodes, rf.Arrival)
+	return arrivals, header, rf.Jobs == 0
 }

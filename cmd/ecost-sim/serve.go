@@ -14,7 +14,7 @@ import (
 
 // serveSources bundles the live observability surfaces the -serve mux
 // reads at request time. Every slice holds one entry per shard (one
-// entry total for the unsharded scheduler); any entry — or the flight
+// entry total for a one-shard run); any entry — or the flight
 // recorder — may be nil when the flag combination didn't enable it,
 // and its endpoints then answer 503 with a hint instead of panicking.
 type serveSources struct {
@@ -61,7 +61,7 @@ func (s serveSources) shardParam(r *http.Request) (int, error) {
 // families gain a shard label; /trace merges span sets into one
 // document with a track group per shard and steal flow arrows; text
 // exports concatenate "== shard N ==" sections) and per-shard views via
-// ?shard=N — byte-identical to that shard's solo export; the flight
+// ?shard=N — byte-identical to that shard's own export; the flight
 // recorder adds /shards, /epochs, /health, and /flight.
 func newServeMux(s serveSources) *http.ServeMux {
 	mux := http.NewServeMux()
@@ -114,7 +114,7 @@ func newServeMux(s serveSources) *http.ServeMux {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		var err error
 		if len(idx) == 1 {
-			// One shard selected (or an unsharded run): the classic
+			// One shard selected (or a one-shard run): the classic
 			// unlabeled exposition.
 			err = s.regs[idx[0]].Snapshot(s.volatile).WritePrometheus(w)
 		} else {
@@ -159,7 +159,7 @@ func newServeMux(s serveSources) *http.ServeMux {
 		w.Header().Set("Content-Type", "application/json")
 		var err error
 		if len(idx) == 1 {
-			// One shard selected (or an unsharded run): the solo export,
+			// One shard selected (or a one-shard run): the solo export,
 			// byte-identical to that shard's own -trace-out.
 			err = s.trs[idx[0]].WriteChromeTrace(w)
 		} else {

@@ -330,20 +330,27 @@ func memoOf(t STP) *MemoSTP {
 // at submission so the sampler's draw sequence matches the legacy
 // scheduler's in-event profiling order (every stream source — scenario
 // generators, trace replay, workload cycling — emits sorted arrivals).
-func (c *ShardedScheduler) Submit(app workloads.App, sizeGB, at float64) {
-	if at < c.lastAt {
-		panic(fmt.Sprintf("core: sharded scheduler: out-of-order submission at %g after %g", at, c.lastAt))
+// An arrival at a negative, non-finite or out-of-order time, or one
+// that fails to profile, is rejected with an error before it is
+// counted or routed, so Run still completes every accepted arrival.
+func (c *ShardedScheduler) Submit(app workloads.App, sizeGB, at float64) error {
+	if at < 0 || math.IsNaN(at) || math.IsInf(at, 0) {
+		return fmt.Errorf("core: sharded scheduler: submission time %g must be finite and non-negative", at)
 	}
-	c.lastAt = at
+	if at < c.lastAt {
+		return fmt.Errorf("core: sharded scheduler: out-of-order submission at %g after %g", at, c.lastAt)
+	}
 	oid, err := c.profile(app, sizeGB)
 	if err != nil {
-		panic(fmt.Sprintf("core: sharded profile: %v", err))
+		return fmt.Errorf("core: sharded profile: %w", err)
 	}
+	c.lastAt = at
 	id := c.nextID
 	c.nextID++
 	home := routeShard(app.Name, len(c.shards))
 	c.shards[home].pending++
 	c.arrs = append(c.arrs, routedArrival{id: id, at: at, obs: oid, shard: int32(home)})
+	return nil
 }
 
 // profile returns the table index of the job's observation. Noisy

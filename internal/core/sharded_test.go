@@ -444,3 +444,47 @@ func TestRouteShardDeterministic(t *testing.T) {
 		t.Fatalf("all training tenants routed to one shard: %v", seen)
 	}
 }
+
+// TestShardedSubmitRejects: an arrival at a negative, non-finite or
+// out-of-order time, or one whose profile fails, is rejected with an
+// error instead of a panic, and is neither counted nor routed — the
+// run still completes exactly the accepted arrivals.
+func TestShardedSubmitRejects(t *testing.T) {
+	fixture(t)
+	c, err := NewShardedScheduler(fix.model, fix.db, NewProfiler(fix.model, sim.NewRNG(99)),
+		func() STP { return NewMemoSTP(fix.lkt, nil) }, 4, ShardedConfig{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := workloads.MustByName("wc")
+	if err := c.Submit(app, 5, 10); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []struct {
+		name     string
+		size, at float64
+	}{
+		{"out of order", 5, 5},
+		{"NaN time", 5, math.NaN()},
+		{"infinite time", 5, math.Inf(1)},
+		{"negative time", 5, -1},
+		{"negative size", -3, 20},
+	} {
+		if err := c.Submit(app, bad.size, bad.at); err == nil {
+			t.Errorf("%s: Submit(size %v, at %v) accepted", bad.name, bad.size, bad.at)
+		}
+	}
+	// A rejected NaN must not disable the order check either.
+	if err := c.Submit(app, 5, 9); err == nil {
+		t.Error("out-of-order arrival accepted after a rejected NaN")
+	}
+	if err := c.Submit(app, 5, 20); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(c.Completed()); got != 2 {
+		t.Fatalf("completed %d jobs, want the 2 accepted arrivals", got)
+	}
+}

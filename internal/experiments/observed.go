@@ -1,26 +1,22 @@
 package experiments
 
 import (
-	"fmt"
-	"sort"
-
 	"ecost/internal/audit"
 	"ecost/internal/core"
 	"ecost/internal/flight"
 	"ecost/internal/metrics"
 	"ecost/internal/scenario"
-	"ecost/internal/trace"
 	"ecost/internal/tracing"
 )
 
 // ShardedObservation bundles the observability handles of one fully
-// observed sharded run: per-shard registries and audit logs, the
-// per-shard span tracers grouped for deterministic merging, plus the
-// control plane's flight recorder. Every export they render (metrics
-// snapshots, audit JSONL, merged Chrome trace and timeline, EDP
-// report, shard-health report, epoch JSONL, flight dumps) is a pure
-// function of the submitted stream, independent of GOMAXPROCS — the
-// same determinism contract as the run itself.
+// observed run: per-shard registries and audit logs, the per-shard span
+// tracers grouped for deterministic merging, plus the control plane's
+// flight recorder. Every export they render (metrics snapshots, audit
+// JSONL, merged Chrome trace and timeline, EDP report, shard-health
+// report, epoch JSONL, flight dumps) is a pure function of the
+// submitted stream, independent of GOMAXPROCS — the same determinism
+// contract as the run itself.
 type ShardedObservation struct {
 	Registries []*metrics.Registry
 	Audits     []*audit.Log
@@ -28,81 +24,42 @@ type ShardedObservation struct {
 	Flight     *flight.Recorder
 }
 
-// OnlineScenarioShardedObserved is OnlineScenarioSharded with the full
-// observability stack attached: per-shard registries feeding memoized
-// metered tuners, per-shard decision audit logs, and the barrier flight
-// recorder. It reports the same table and observables and additionally
-// returns the observation handles so callers can render shard health,
-// epoch wide-events, and anomaly dumps after the run.
-func OnlineScenarioShardedObserved(env *Env, spec scenario.Spec, nodes int, cfg core.ShardedConfig) (Table, OnlineData, QueueStats, *ShardedObservation, error) {
+// attach wires the audit logs, span tracers and flight recorder into
+// every shard of sched, whose tuners already registered Registries.
+func (o *ShardedObservation) attach(sched *core.ShardedScheduler) {
+	for i := range sched.Shards() {
+		sh := sched.Shard(i)
+		sh.SetMetrics(o.Registries[i])
+		aud := audit.NewLog(audit.DriftConfig{})
+		o.Audits = append(o.Audits, aud)
+		sh.SetAudit(aud)
+	}
+	o.Trace = tracing.NewShardSet()
+	sched.SetTracer(o.Trace)
+	o.Flight = flight.New(flight.Config{Shards: sched.Shards(), ShardNodes: sched.ShardNodes()})
+	sched.SetFlight(o.Flight)
+}
+
+// OnlineScenarioObserved is OnlineScenario with the full observability
+// stack attached: per-shard registries feeding memoized metered LkT
+// tuners, per-shard decision audit logs, span tracers, and the barrier
+// flight recorder. It reports the same observables and additionally
+// returns the observation handles so callers can render traces, decision
+// quality, shard health, epoch wide-events, and anomaly dumps after the
+// run.
+func OnlineScenarioObserved(env *Env, spec scenario.Spec, nodes int, cfg core.ShardedConfig) (Table, OnlineData, QueueStats, *ShardedObservation, error) {
 	arrivals, err := scenario.Generate(spec)
 	if err != nil {
 		return Table{}, OnlineData{}, QueueStats{}, nil, err
 	}
-	var data OnlineData
-	obs := &ShardedObservation{}
-	newTuner := func() core.STP {
-		reg := metrics.NewRegistry()
-		obs.Registries = append(obs.Registries, reg)
-		return core.NewMeteredSTP(core.NewMemoSTP(env.LkT, reg), env.Model, reg)
-	}
-	sched, err := core.NewShardedScheduler(env.Model, env.DB, env.Profiler, newTuner, nodes, cfg)
+	r, err := runOnline(env, arrivals, nodes, drive{cfg: cfg, tuner: env.LkT, observe: true})
 	if err != nil {
-		return Table{}, data, QueueStats{}, nil, err
+		return Table{}, OnlineData{}, QueueStats{}, nil, err
 	}
-	for i := 0; i < cfg.Shards; i++ {
-		sh := sched.Shard(i)
-		sh.SetMetrics(obs.Registries[i])
-		aud := audit.NewLog(audit.DriftConfig{})
-		obs.Audits = append(obs.Audits, aud)
-		sh.SetAudit(aud)
-	}
-	obs.Trace = tracing.NewShardSet()
-	sched.SetTracer(obs.Trace)
-	obs.Flight = flight.New(flight.Config{Shards: cfg.Shards, ShardNodes: sched.ShardNodes()})
-	sched.SetFlight(obs.Flight)
-
-	if !sort.SliceIsSorted(arrivals, func(i, j int) bool { return arrivals[i].At < arrivals[j].At }) {
-		sorted := append([]trace.Arrival(nil), arrivals...)
-		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
-		arrivals = sorted
-	}
-	for _, a := range arrivals {
-		sched.Submit(a.App, a.SizeGB, a.At)
-	}
-	makespan, energy, err := sched.Run()
-	if err != nil {
-		return Table{}, data, QueueStats{}, nil, err
-	}
-	data.Jobs = len(arrivals)
-	data.Makespan = makespan
-	data.EnergyJ = energy
-	data.EDP = energy * makespan
-	done := sched.Completed()
-	for _, c := range done {
-		wait := c.Started - c.Submitted
-		data.MeanWait += wait
-		if wait > data.MaxWait {
-			data.MaxWait = wait
-		}
-		data.MeanElapsed += c.Finished - c.Submitted
-	}
-	if len(done) > 0 {
-		data.MeanWait /= float64(len(done))
-		data.MeanElapsed /= float64(len(done))
-	}
-	qs := StreamStats(done, nodes, data.Makespan)
-	tbl := Table{
-		Title:  fmt.Sprintf("Online ECoST scenario, observed (%d shard(s)): %s, %d node(s)", sched.Shards(), spec.String(), nodes),
-		Header: []string{"metric", "value"},
-	}
-	addOnlineRows(&tbl, data)
-	qs.AddRows(&tbl)
-	tbl.AddRow("shards", sched.Shards())
-	tbl.AddRow("steals", sched.Steals())
-	tbl.AddRow("epochs", obs.Flight.Epochs())
-	tbl.AddRow("flight dumps", len(obs.Flight.Dumps()))
+	tbl := r.scenarioTable("Online ECoST scenario, observed", spec.String(), nodes)
+	tbl.AddRow("epochs", r.obs.Flight.Epochs())
+	tbl.AddRow("flight dumps", len(r.obs.Flight.Dumps()))
 	tbl.Notes = append(tbl.Notes,
 		"fully observed run: per-shard metrics + audit + span tracers, barrier flight recorder; render traces, shard health, and dumps from the returned handles")
-	return tbl, data, qs, obs, nil
+	return tbl, r.data, r.qs, r.obs, nil
 }

@@ -192,40 +192,34 @@ func (qs QueueStats) AddRows(tbl *Table) {
 	tbl.AddRow("sojourn p50/p95/p99 (s)", fmt.Sprintf("%.1f / %.1f / %.1f", qs.SojournP50, qs.SojournP95, qs.SojournP99))
 }
 
-// OnlineScenario drives the online ECoST scheduler with a generated
-// scenario stream (internal/scenario) and reports cluster EDP plus the
-// queueing observables. It is OnlineTrace for production-shaped load:
-// open-loop arrival processes, heavy-tailed sizes, recurring tenants.
-func OnlineScenario(env *Env, spec scenario.Spec, nodes int) (Table, OnlineData, QueueStats, error) {
+// OnlineScenario drives the online ECoST control plane with a
+// generated scenario stream (internal/scenario) and reports cluster EDP
+// plus the queueing observables. It is OnlineTrace for production-shaped
+// load: open-loop arrival processes, heavy-tailed sizes, recurring
+// tenants. cfg.Shards == 1 runs the whole cluster under one scheduler;
+// with more shards and stealing off, makespan and energy match the
+// single-shard run to 1e-9 whenever jobs do not overlap in time (see
+// DESIGN.md §14 for the determinism contract).
+func OnlineScenario(env *Env, spec scenario.Spec, nodes int, cfg core.ShardedConfig) (Table, OnlineData, QueueStats, error) {
 	arrivals, err := scenario.Generate(spec)
 	if err != nil {
 		return Table{}, OnlineData{}, QueueStats{}, err
 	}
-	return onlineScenarioArrivals(env, spec.String(), arrivals, nodes)
+	return OnlineReplay(env, spec.String(), arrivals, nodes, cfg)
 }
 
-// OnlineReplay drives the scheduler with a pre-parsed arrival stream
-// (a replayed JSONL trace). The run is indistinguishable from the
-// generating run: identical streams produce identical tables.
-func OnlineReplay(env *Env, label string, arrivals []trace.Arrival, nodes int) (Table, OnlineData, QueueStats, error) {
-	return onlineScenarioArrivals(env, label, arrivals, nodes)
-}
-
-func onlineScenarioArrivals(env *Env, label string, arrivals []trace.Arrival, nodes int) (Table, OnlineData, QueueStats, error) {
-	data, _, done, err := runOnlineStream(env, arrivals, nodes, false, env.LkT, nil)
+// OnlineReplay drives the control plane with a pre-parsed arrival
+// stream (a replayed JSONL trace). The run is indistinguishable from the
+// generating run: identical streams produce identical tables,
+// independent of GOMAXPROCS. The stream must be in nondecreasing time
+// order, as scenario.ReadTrace enforces; an arrival the control plane
+// rejects (out of order, bad time or size) fails the run.
+func OnlineReplay(env *Env, label string, arrivals []trace.Arrival, nodes int, cfg core.ShardedConfig) (Table, OnlineData, QueueStats, error) {
+	r, err := runOnline(env, arrivals, nodes, drive{cfg: cfg, tuner: env.LkT})
 	if err != nil {
-		return Table{}, data, QueueStats{}, err
+		return Table{}, OnlineData{}, QueueStats{}, err
 	}
-	qs := StreamStats(done, nodes, data.Makespan)
-	tbl := Table{
-		Title:  fmt.Sprintf("Online ECoST scenario: %s, %d node(s)", label, nodes),
-		Header: []string{"metric", "value"},
-	}
-	addOnlineRows(&tbl, data)
-	qs.AddRows(&tbl)
-	tbl.Notes = append(tbl.Notes,
-		"utilization is busy node-time over nodes x makespan; queue lengths are time-weighted")
-	return tbl, data, qs, nil
+	return r.scenarioTable("Online ECoST scenario", label, nodes), r.data, r.qs, nil
 }
 
 // CurvePoint is one load level of a utilization-vs-EDP sweep.
@@ -243,8 +237,10 @@ type CurvePoint struct {
 // UtilizationCurve sweeps the arrival rate of a base scenario across
 // the given mean inter-arrival gaps and reports utilization vs. EDP —
 // the saturation study the paper never ran. Each point reruns the
-// scenario with the same seed and substreams, so only the arrival
-// tempo changes (the Split contract keeps apps and sizes pinned).
+// scenario with the same seed and substreams on one scheduler, from a
+// fresh profiler seeded by env.Seed, so only the arrival tempo changes
+// (the Split contract keeps apps and sizes pinned, and every point sees
+// the same measurement noise).
 func UtilizationCurve(env *Env, base scenario.Spec, nodes int, meanGaps []float64) (Table, []CurvePoint, error) {
 	tbl := Table{
 		Title:  fmt.Sprintf("Utilization vs. EDP: %s, %d node(s)", base.String(), nodes),
@@ -254,7 +250,7 @@ func UtilizationCurve(env *Env, base scenario.Spec, nodes int, meanGaps []float6
 	for _, gap := range meanGaps {
 		spec := base
 		spec.Arrivals = withMeanGap(base.Arrivals, gap)
-		_, data, qs, err := OnlineScenario(env, spec, nodes)
+		_, data, qs, err := OnlineScenario(freshProfiler(env), spec, nodes, core.ShardedConfig{Shards: 1})
 		if err != nil {
 			return Table{}, nil, err
 		}

@@ -3,18 +3,13 @@ package experiments
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
-	"ecost/internal/audit"
-	"ecost/internal/cluster"
 	"ecost/internal/core"
-	"ecost/internal/mapreduce"
-	"ecost/internal/metrics"
 	"ecost/internal/scenario"
-	"ecost/internal/sim"
 	"ecost/internal/trace"
-	"ecost/internal/tracing"
 )
 
 // scenarioSpec is the small mixed-shape stream the scenario tests run:
@@ -30,42 +25,25 @@ func scenarioSpec(jobs int) scenario.Spec {
 	}
 }
 
-// instrumentedRun drives one fully-observed online run (metrics +
-// tracing + audit, memoized metered LkT tuner — the same stack
-// ecost-sim wires up) over an arrival stream and returns the three
+// instrumentedRun drives one fully observed single-shard run through
+// the production online runner (metrics, tracing, audit and a memoized
+// metered LkT tuner) from a fresh profiler, and returns the three
 // deterministic exports: the metrics snapshot text, the span timeline,
 // and the decision JSONL.
 func instrumentedRun(t *testing.T, env *Env, arrivals []trace.Arrival, nodes int) (snap, timeline, decisions string) {
 	t.Helper()
-	reg := metrics.NewRegistry()
-	eng := sim.NewEngine()
-	tr := tracing.New(eng.Clock())
-	aud := audit.NewLog(audit.DriftConfig{})
-	model := mapreduce.NewModel(cluster.AtomC2758())
-	model.Metrics = reg
-	tuner := core.NewMeteredSTP(core.NewMemoSTP(env.LkT, reg), model, reg)
-	prof := core.NewProfiler(model, sim.NewRNG(env.Seed))
-	sched, err := core.NewOnlineScheduler(eng, model, env.DB, tuner, prof, nodes)
+	r, err := runOnline(freshProfiler(env), arrivals, nodes, drive{cfg: core.ShardedConfig{Shards: 1}, tuner: env.LkT, observe: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched.SetMetrics(reg)
-	sched.SetTracer(tr)
-	sched.SetAudit(aud)
-	for _, a := range arrivals {
-		sched.Submit(a.App, a.SizeGB, a.At)
-	}
-	if _, _, err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
 	var snapBuf, tlBuf, decBuf bytes.Buffer
-	if err := reg.Snapshot(false).WriteText(&snapBuf); err != nil {
+	if err := r.obs.Registries[0].Snapshot(false).WriteText(&snapBuf); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.WriteTimeline(&tlBuf); err != nil {
+	if err := r.obs.Trace.WriteTimeline(&tlBuf); err != nil {
 		t.Fatal(err)
 	}
-	if err := aud.WriteJSONL(&decBuf); err != nil {
+	if err := r.obs.Audits[0].WriteJSONL(&decBuf); err != nil {
 		t.Fatal(err)
 	}
 	return snapBuf.String(), tlBuf.String(), decBuf.String()
@@ -126,7 +104,7 @@ func TestRecordReplayGolden(t *testing.T) {
 func TestOnlineScenarioStats(t *testing.T) {
 	env := sharedEnv(t)
 	spec := scenarioSpec(20)
-	tbl, data, qs, err := OnlineScenario(env, spec, 2)
+	tbl, data, qs, err := OnlineScenario(env, spec, 2, core.ShardedConfig{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +162,24 @@ func TestUtilizationCurve(t *testing.T) {
 	}
 	if !strings.Contains(tbl.String(), "Utilization vs. EDP") {
 		t.Errorf("table title missing:\n%s", tbl.String())
+	}
+}
+
+// TestUtilizationCurveFreshProfiler: every point starts from the same
+// profiler state, so two points at the same tempo are identical rows.
+// From the canonical profiler state this stream is long enough that
+// profiling noise moves the outcome: a profiler carried over from the
+// first point changes the second.
+func TestUtilizationCurveFreshProfiler(t *testing.T) {
+	tbl, points, err := UtilizationCurve(freshEnv(t), scenarioSpec(200), 1, []float64{400, 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if points[0] != points[1] {
+		t.Fatalf("same tempo, different points:\n%+v\n%+v", points[0], points[1])
+	}
+	if !slices.Equal(tbl.Rows[0], tbl.Rows[1]) {
+		t.Fatalf("same tempo, different rows:\n%v\n%v", tbl.Rows[0], tbl.Rows[1])
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"ecost/internal/core"
 	"ecost/internal/scenario"
-	"ecost/internal/sim"
 )
 
 // freshEnv returns a shallow copy of the shared Env with a fresh
@@ -14,37 +13,7 @@ import (
 // measurement noise regardless of what earlier tests consumed.
 func freshEnv(t *testing.T) *Env {
 	t.Helper()
-	env := *sharedEnv(t)
-	env.Profiler = core.NewProfiler(env.Model, sim.NewRNG(env.Seed))
-	return &env
-}
-
-// TestOnlineScenarioShardedSingleShardMatchesLegacy is the
-// experiments-level golden: with one shard the sharded runner reports
-// bit-identical summary and queueing observables to OnlineScenario on
-// the same stream and profiler state — the single-shard control plane
-// IS the legacy scheduler.
-func TestOnlineScenarioShardedSingleShardMatchesLegacy(t *testing.T) {
-	spec := scenarioSpec(20)
-	_, want, wantQS, err := OnlineScenario(freshEnv(t), spec, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, got, gotQS, err := OnlineScenarioSharded(freshEnv(t), spec, 2, core.ShardedConfig{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("single-shard summary diverged from legacy:\n got %+v\nwant %+v", got, want)
-	}
-	if gotQS != wantQS {
-		t.Fatalf("single-shard queue stats diverged from legacy:\n got %+v\nwant %+v", gotQS, wantQS)
-	}
-	for _, wantStr := range []string{"shards", "steals", "utilization"} {
-		if !strings.Contains(tbl.String(), wantStr) {
-			t.Errorf("table missing %q:\n%s", wantStr, tbl.String())
-		}
-	}
+	return freshProfiler(sharedEnv(t))
 }
 
 // TestOnlineScenarioShardedMultiShard: a multi-shard steal-enabled run
@@ -53,7 +22,7 @@ func TestOnlineScenarioShardedSingleShardMatchesLegacy(t *testing.T) {
 func TestOnlineScenarioShardedMultiShard(t *testing.T) {
 	spec := scenarioSpec(20)
 	cfg := core.ShardedConfig{Shards: 4, Steal: true, ProfileMemo: true}
-	_, a, qsA, err := OnlineScenarioSharded(freshEnv(t), spec, 4, cfg)
+	_, a, qsA, err := OnlineScenario(freshEnv(t), spec, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +35,7 @@ func TestOnlineScenarioShardedMultiShard(t *testing.T) {
 	if a.Makespan <= 0 || a.EnergyJ <= 0 {
 		t.Fatalf("degenerate run: makespan %v energy %v", a.Makespan, a.EnergyJ)
 	}
-	_, b, qsB, err := OnlineScenarioSharded(freshEnv(t), spec, 4, cfg)
+	_, b, qsB, err := OnlineScenario(freshEnv(t), spec, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +49,7 @@ func TestOnlineScenarioShardedMultiShard(t *testing.T) {
 func TestOnlineReplaySharded(t *testing.T) {
 	spec := scenarioSpec(16)
 	cfg := core.ShardedConfig{Shards: 2, Steal: true}
-	_, want, wantQS, err := OnlineScenarioSharded(freshEnv(t), spec, 4, cfg)
+	_, want, wantQS, err := OnlineScenario(freshEnv(t), spec, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +57,26 @@ func TestOnlineReplaySharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, got, gotQS, err := OnlineReplaySharded(freshEnv(t), "replay", arrivals, 4, cfg)
+	_, got, gotQS, err := OnlineReplay(freshEnv(t), "replay", arrivals, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want || gotQS != wantQS {
 		t.Fatalf("replay diverged from generating run:\n got %+v / %+v\nwant %+v / %+v", got, gotQS, want, wantQS)
+	}
+}
+
+// TestOnlineReplayRejectsBadStream: an arrival the control plane
+// rejects — here one out of time order — fails the run with an error
+// instead of a panic.
+func TestOnlineReplayRejectsBadStream(t *testing.T) {
+	arrivals, err := scenario.Generate(scenarioSpec(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals[1].At, arrivals[2].At = arrivals[2].At+1, arrivals[1].At
+	if _, _, _, err := OnlineReplay(freshEnv(t), "bad", arrivals, 2, core.ShardedConfig{Shards: 1}); err == nil {
+		t.Fatal("out-of-order stream accepted")
 	}
 }
 
