@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"ecost/internal/metrics"
 	"ecost/internal/workloads"
 )
 
@@ -32,11 +31,6 @@ type WaitQueue struct {
 	// resident leaves the head's reserved slot unaffected.
 	LeapFraction float64
 
-	// Metrics, when non-nil, receives queue telemetry: per-class push
-	// counts and the depth high-water mark. The owning scheduler samples
-	// depth over sim-time separately (the queue has no clock).
-	Metrics *metrics.Registry
-
 	// byClass sub-indexes the FIFO per class (each deque in queue
 	// order) and seq records every queued job's arrival sequence, so
 	// SelectPartner inspects one front per class instead of scanning
@@ -57,21 +51,6 @@ func (q *WaitQueue) Push(j *Job) {
 	}
 	q.jobs = append(q.jobs, j)
 	q.index(j)
-	if q.Metrics != nil {
-		q.Metrics.Counter("queue.push." + j.Class.String()).Inc()
-		if hw := q.Metrics.Gauge("queue.depth_highwater"); float64(len(q.jobs)) > hw.Value() {
-			hw.Set(float64(len(q.jobs)))
-		}
-	}
-}
-
-// DepthByClass tallies the queued jobs per class (for depth gauges).
-func (q *WaitQueue) DepthByClass() map[workloads.Class]int {
-	out := map[workloads.Class]int{}
-	for _, j := range q.jobs {
-		out[j.Class]++
-	}
-	return out
 }
 
 // Len reports the queue length.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ecost/internal/metrics"
+	"ecost/internal/sim"
 	"ecost/internal/workloads"
 )
 
@@ -136,17 +137,37 @@ func TestQueuePopHeadAndNilPush(t *testing.T) {
 	}
 }
 
+// TestQueueMetricsCounts checks the wait-queue telemetry the scheduler's
+// observer records: one queue.push.<class> count per job entering the
+// queue and the depth high-water mark. Five jobs arrive at t=0 on one
+// node: the first two are placed (reserve, then pair), the other three
+// queue behind them.
 func TestQueueMetricsCounts(t *testing.T) {
+	fixture(t)
+	appOf := map[workloads.Class]workloads.App{}
+	for _, a := range workloads.Apps() {
+		if _, ok := appOf[a.Class]; !ok {
+			appOf[a.Class] = a
+		}
+	}
+	C, I := workloads.Compute, workloads.IOBound
+	eng := sim.NewEngine()
+	s, err := NewOnlineScheduler(eng, fix.model, fix.db, fix.lkt, NewProfiler(fix.model, sim.NewRNG(99)), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	reg := metrics.NewRegistry()
-	q := NewWaitQueue()
-	q.Metrics = reg
-	q.Push(qjob(0, workloads.Compute, 1))
-	q.Push(qjob(1, workloads.Compute, 1))
-	q.Push(qjob(2, workloads.IOBound, 1))
-	q.PopHead()
-	q.Push(qjob(3, workloads.IOBound, 1))
-	if got := reg.Counter("queue.push.C").Value(); got != 2 {
-		t.Errorf("queue.push.C = %d, want 2", got)
+	s.SetMetrics(reg)
+	for _, c := range []workloads.Class{C, C, I, C, I} {
+		s.Submit(appOf[c], 5, 0)
+	}
+	for i := 0; i < 5; i++ {
+		if !eng.Step() {
+			t.Fatal("engine drained before all arrivals fired")
+		}
+	}
+	if got := reg.Counter("queue.push.C").Value(); got != 3 {
+		t.Errorf("queue.push.C = %d, want 3", got)
 	}
 	if got := reg.Counter("queue.push.I").Value(); got != 2 {
 		t.Errorf("queue.push.I = %d, want 2", got)
@@ -154,8 +175,18 @@ func TestQueueMetricsCounts(t *testing.T) {
 	if hw := reg.Gauge("queue.depth_highwater").Value(); hw != 3 {
 		t.Errorf("depth high-water = %v, want 3", hw)
 	}
-	byClass := q.DepthByClass()
-	if byClass[workloads.Compute] != 1 || byClass[workloads.IOBound] != 2 {
-		t.Errorf("DepthByClass = %v", byClass)
+	byClass := map[workloads.Class]int{}
+	for _, j := range s.queue.Jobs() {
+		byClass[j.Class]++
+	}
+	if byClass[C] != 1 || byClass[I] != 2 {
+		t.Errorf("queued per class = %v, want C:1 I:2", byClass)
+	}
+	// Leaving the queue never counts as a push.
+	if _, _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("queue.push.C").Value() + reg.Counter("queue.push.I").Value(); got != 5 {
+		t.Errorf("pushes after the run = %d, want 5", got)
 	}
 }

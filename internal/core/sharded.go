@@ -218,12 +218,8 @@ func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, n
 		if err != nil {
 			return nil, fmt.Errorf("core: sharded scheduler: shard %d: %w", i, err)
 		}
-		sh.SetNodeBase(base)
+		sh.base = base
 		sh.obs = c.table
-		// The shard never hands out *sim.Event pointers beyond the
-		// per-node completion handle it nils on fire, so event recycling
-		// is safe.
-		sh.Engine.SetRecycle(true)
 		base += n
 		c.shards = append(c.shards, sh)
 	}

@@ -108,11 +108,9 @@ type Engine struct {
 	events  eventHeap
 	fired   int64
 
-	// recycle enables the event free-list: fired and cancelled Events
-	// are reused by later At/After/AtHead calls instead of allocated
-	// fresh. See SetRecycle for the aliasing contract.
-	recycle bool
-	free    []*Event
+	// free holds retired Events for reuse by later At/After/AtHead
+	// calls (see Cancel for the aliasing contract).
+	free []*Event
 }
 
 // NewEngine returns a kernel with the clock at zero.
@@ -134,18 +132,8 @@ func (e *Engine) Fired() int64 { return e.fired }
 // Pending reports how many events are scheduled but not yet fired.
 func (e *Engine) Pending() int { return len(e.events) }
 
-// SetRecycle toggles the event free-list: when on, Events retired by
-// Step and Cancel are reused by later At/After/AtHead calls. Recycling
-// changes nothing observable about event ordering, but it does alias
-// Event pointers across logical events — callers must drop every *Event
-// they hold once it has fired or been cancelled (the scheduler's
-// per-node completion event, the only retained handle in this codebase,
-// does exactly that). Off by default; the sharded control plane turns
-// it on for its shard engines.
-func (e *Engine) SetRecycle(v bool) { e.recycle = v }
-
-// alloc returns a zeroed-for-reuse Event, from the free-list when
-// recycling is on and one is available.
+// alloc returns an Event for (t, fn, seq), reusing a retired one when
+// the free-list holds any.
 func (e *Engine) alloc(t float64, fn func(), seq int64) *Event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
@@ -196,17 +184,23 @@ func (e *Engine) After(d float64, fn func()) *Event {
 	return e.At(e.now+d, fn)
 }
 
-// Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op and reports false.
+// Cancel removes a scheduled event and reports whether it was pending.
+//
+// Aliasing contract: an Event retired by Step (once its callback
+// returns) or by Cancel is reused by a later At/After/AtHead, so a
+// handle is only meaningful while its event is pending. Callers must
+// drop every *Event they hold once it has fired or been cancelled — the
+// scheduler's per-node completion handle, the only one retained in this
+// codebase, does exactly that. Cancelling a retired handle before the
+// engine reuses it is a no-op reporting false; after reuse it would
+// cancel the event now occupying it.
 func (e *Engine) Cancel(ev *Event) bool {
 	if ev == nil || ev.index < 0 || ev.index >= len(e.events) || e.events[ev.index] != ev {
 		return false
 	}
 	e.events.remove(ev.index)
-	if e.recycle {
-		ev.Fire = nil
-		e.free = append(e.free, ev)
-	}
+	ev.Fire = nil
+	e.free = append(e.free, ev)
 	return true
 }
 
@@ -271,12 +265,10 @@ func (e *Engine) Step() bool {
 	e.now = ev.At
 	e.fired++
 	ev.Fire()
-	if e.recycle {
-		// Retire after Fire so a callback cancelling or inspecting the
-		// firing event never races its own reuse.
-		ev.Fire = nil
-		e.free = append(e.free, ev)
-	}
+	// Retire after Fire so a callback cancelling or inspecting the
+	// firing event never races its own reuse.
+	ev.Fire = nil
+	e.free = append(e.free, ev)
 	return true
 }
 

@@ -55,25 +55,21 @@ func (q *refQueue) cancel(label int) {
 
 // TestEngineHeapMatchesReference drives random At/AtHead/Cancel/Step
 // sequences — with callbacks that schedule and cancel further events,
-// on coarse timestamps so ties are common — through the engine and the
-// sorted-slice reference, with recycling on and off, and requires the
-// identical fire order, clock, and pending count at every step.
+// on coarse timestamps so ties are common — through the engine (which
+// recycles retired events) and the sorted-slice reference, and requires
+// the identical fire order, clock, and pending count at every step.
 func TestEngineHeapMatchesReference(t *testing.T) {
-	for _, recycle := range []bool{false, true} {
-		for seed := int64(1); seed <= 40; seed++ {
-			engineMatchesReference(t, seed, recycle)
-		}
+	for seed := int64(1); seed <= 40; seed++ {
+		engineMatchesReference(t, seed)
 	}
 }
 
-func engineMatchesReference(t *testing.T, seed int64, recycle bool) {
+func engineMatchesReference(t *testing.T, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	eng := NewEngine()
-	eng.SetRecycle(recycle)
 	var ref refQueue
 	live := map[int]*Event{} // label -> handle, pending events only
-	var dead []*Event        // fired or cancelled handles (recycling off only)
 	var fired, want []int
 	next := 0
 
@@ -88,11 +84,7 @@ func engineMatchesReference(t *testing.T, seed int64, recycle bool) {
 		head := rng.Intn(5) == 0
 		fire := func() {
 			fired = append(fired, label)
-			h := live[label]
 			delete(live, label)
-			if !recycle {
-				dead = append(dead, h)
-			}
 			// Callbacks reschedule and cancel too, as the scheduler's do.
 			if rng.Intn(3) == 0 {
 				schedule()
@@ -121,12 +113,9 @@ func engineMatchesReference(t *testing.T, seed int64, recycle bool) {
 		slices.Sort(labels)
 		l := labels[rng.Intn(len(labels))]
 		if !eng.Cancel(live[l]) {
-			t.Fatalf("seed %d recycle %v: Cancel of pending event %d reported false", seed, recycle, l)
+			t.Fatalf("seed %d: Cancel of pending event %d reported false", seed, l)
 		}
 		ref.cancel(l)
-		if !recycle {
-			dead = append(dead, live[l])
-		}
 		delete(live, l)
 	}
 
@@ -136,14 +125,10 @@ func engineMatchesReference(t *testing.T, seed int64, recycle bool) {
 			schedule()
 		case r < 6:
 			cancelOne()
-		case r < 7 && len(dead) > 0:
-			if eng.Cancel(dead[rng.Intn(len(dead))]) {
-				t.Fatalf("seed %d: Cancel of a retired event reported true", seed)
-			}
 		default:
 			if len(ref.evs) == 0 {
 				if eng.Step() {
-					t.Fatalf("seed %d recycle %v: Step fired on an empty queue", seed, recycle)
+					t.Fatalf("seed %d: Step fired on an empty queue", seed)
 				}
 				continue
 			}
@@ -151,22 +136,22 @@ func engineMatchesReference(t *testing.T, seed int64, recycle bool) {
 			ref.evs = ref.evs[1:]
 			want = append(want, head.label)
 			if !eng.Step() {
-				t.Fatalf("seed %d recycle %v: Step found no event, reference holds %d", seed, recycle, len(ref.evs)+1)
+				t.Fatalf("seed %d: Step found no event, reference holds %d", seed, len(ref.evs)+1)
 			}
 			if eng.Now() != head.at {
-				t.Fatalf("seed %d recycle %v: clock %v after firing, reference %v", seed, recycle, eng.Now(), head.at)
+				t.Fatalf("seed %d: clock %v after firing, reference %v", seed, eng.Now(), head.at)
 			}
 		}
 		// Callback-scheduled events land in ref via schedule itself;
 		// the fire order so far must agree exactly.
 		if !slices.Equal(fired, want) {
-			t.Fatalf("seed %d recycle %v: fire order diverged\nengine    %v\nreference %v", seed, recycle, fired, want)
+			t.Fatalf("seed %d: fire order diverged\nengine    %v\nreference %v", seed, fired, want)
 		}
 		if eng.Pending() != len(ref.evs) {
-			t.Fatalf("seed %d recycle %v: %d pending, reference %d", seed, recycle, eng.Pending(), len(ref.evs))
+			t.Fatalf("seed %d: %d pending, reference %d", seed, eng.Pending(), len(ref.evs))
 		}
 		if at, ok := eng.NextAt(); ok != (len(ref.evs) > 0) || (ok && at != ref.evs[0].at) {
-			t.Fatalf("seed %d recycle %v: NextAt %v,%v, reference %v", seed, recycle, at, ok, ref.evs)
+			t.Fatalf("seed %d: NextAt %v,%v, reference %v", seed, at, ok, ref.evs)
 		}
 	}
 	// Drain: the tail must come out in reference order too.
@@ -176,6 +161,6 @@ func engineMatchesReference(t *testing.T, seed int64, recycle bool) {
 		eng.Step()
 	}
 	if !slices.Equal(fired, want) || eng.Pending() != 0 {
-		t.Fatalf("seed %d recycle %v: drain diverged\nengine    %v\nreference %v", seed, recycle, fired, want)
+		t.Fatalf("seed %d: drain diverged\nengine    %v\nreference %v", seed, fired, want)
 	}
 }

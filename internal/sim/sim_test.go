@@ -329,7 +329,6 @@ func TestEngineAtHeadPriority(t *testing.T) {
 
 func TestEngineRecycle(t *testing.T) {
 	e := NewEngine()
-	e.SetRecycle(true)
 	var fired []float64
 	ev1 := e.At(1, func() { fired = append(fired, 1) })
 	e.Step()
