@@ -17,6 +17,12 @@ import (
 // workload and seed as tracedRun/metricsRun) with the audit log,
 // metrics registry, and tracer all attached.
 func auditedRun(t *testing.T) (*audit.Log, *metrics.Registry, *tracing.Tracer, *OnlineScheduler) {
+	return auditedRunAttach(t, false)
+}
+
+// auditedRunAttach is auditedRun with the audit log attached before the
+// metrics registry when auditFirst is set.
+func auditedRunAttach(t *testing.T, auditFirst bool) (*audit.Log, *metrics.Registry, *tracing.Tracer, *OnlineScheduler) {
 	t.Helper()
 	fixture(t)
 	eng := sim.NewEngine()
@@ -26,9 +32,14 @@ func auditedRun(t *testing.T) (*audit.Log, *metrics.Registry, *tracing.Tracer, *
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
-	s.SetMetrics(reg)
 	aud := audit.NewLog(audit.DriftConfig{})
-	s.SetAudit(aud)
+	if auditFirst {
+		s.SetAudit(aud)
+		s.SetMetrics(reg)
+	} else {
+		s.SetMetrics(reg)
+		s.SetAudit(aud)
+	}
 	tr := tracing.New(eng.Clock())
 	s.SetTracer(tr)
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm", "st", "ts"}
