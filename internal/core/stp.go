@@ -1,10 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ecost/internal/mapreduce"
@@ -213,11 +216,6 @@ func (s *MeteredSTP) scanSize() int {
 	}
 }
 
-// MLMSTP is the machine-learning-model technique (Figure 7): one
-// regressor per class pair is trained on the database's (features,
-// configuration) → EDP rows; prediction classifies the incoming pair,
-// selects the class-pair model, evaluates it over every permutation of
-// the tunable parameters, and returns the argmin.
 // modelKey identifies one trained regressor: a class pair at one
 // data-size combination. Splitting by size combination keeps each
 // model's response surface unimodal over the knobs — pooling sizes lets
@@ -227,13 +225,35 @@ type modelKey struct {
 	sizeA, sizeB float64
 }
 
+// MLMSTP is the machine-learning-model technique (Figure 7): one
+// regressor per class pair is trained on the database's (features,
+// configuration) → EDP rows; prediction classifies the incoming pair,
+// selects the class-pair model, evaluates it over every permutation of
+// the tunable parameters, and returns the argmin.
 type MLMSTP struct {
-	name        string
-	db          *Database
+	name string
+	db   *Database
+	// models holds the trained regressors; keys lists their keys in
+	// compareModelKeys order — the order training, persistence and the
+	// fallback searches of model all walk.
 	models      map[modelKey]ml.Regressor
+	keys        []modelKey
 	useFeatures bool
 
 	trainTime time.Duration
+}
+
+// compareModelKeys orders keys by class pair, then by slot sizes.
+func compareModelKeys(a, b modelKey) int {
+	switch {
+	case a.cp.A != b.cp.A:
+		return cmp.Compare(a.cp.A, b.cp.A)
+	case a.cp.B != b.cp.B:
+		return cmp.Compare(a.cp.B, b.cp.B)
+	case a.sizeA != b.sizeA:
+		return cmp.Compare(a.sizeA, b.sizeA)
+	}
+	return cmp.Compare(a.sizeB, b.sizeB)
 }
 
 // ModelFactory builds a fresh regressor (one is trained per class pair).
@@ -258,11 +278,17 @@ func NewMLMSTPFeatures(name string, db *Database, factory ModelFactory, rowStrid
 	return newMLMSTP(name, db, factory, rowStride, true)
 }
 
+// newMLMSTP groups the rows by model key and trains one regressor per
+// key over a GOMAXPROCS-sized worker pool. The factory runs serially in
+// key order; every regressor then trains from its own rows and its own
+// seeded RNG, so the schedule cannot reach the fitted models, and the
+// first error is reported in key order. TrainTime is the pool's
+// wall-clock time.
 func newMLMSTP(name string, db *Database, factory ModelFactory, rowStride int, useFeatures bool) (*MLMSTP, error) {
 	if rowStride < 1 {
 		rowStride = 1
 	}
-	s := &MLMSTP{name: name, db: db, models: make(map[modelKey]ml.Regressor), useFeatures: useFeatures}
+	s := &MLMSTP{name: name, db: db, useFeatures: useFeatures}
 	start := time.Now()
 	groups := make(map[modelKey][]TrainRow)
 	for cp, all := range db.Rows {
@@ -271,29 +297,61 @@ func newMLMSTP(name string, db *Database, factory ModelFactory, rowStride int, u
 			groups[modelKey{cp, r.X[0], r.X[1]}] = append(groups[modelKey{cp, r.X[0], r.X[1]}], r)
 		}
 	}
-	for key, rows := range groups {
-		X := make([][]float64, len(rows))
-		y := make([]float64, len(rows))
-		for i, r := range rows {
-			X[i] = s.inputRow(r.FA, r.FB, r.X)
-			// Train on the log of the baseline-relative EDP: absolute EDP
-			// spans orders of magnitude across pairs and sizes, but the
-			// response to the knobs — what the argmin needs — is a small,
-			// class-determined surface. The monotone map leaves the
-			// argmin unchanged.
-			y[i] = math.Log(r.RelEDP)
-		}
-		m := factory()
-		if err := m.Train(X, y); err != nil {
-			return nil, fmt.Errorf("core: %s model for %v: %w", name, key.cp, err)
-		}
-		s.models[key] = m
-	}
-	s.trainTime = time.Since(start)
-	if len(s.models) == 0 {
+	if len(groups) == 0 {
 		return nil, fmt.Errorf("core: %s: database has no training rows", name)
 	}
+	s.keys = make([]modelKey, 0, len(groups))
+	for key := range groups {
+		s.keys = append(s.keys, key)
+	}
+	slices.SortFunc(s.keys, compareModelKeys)
+	models := make([]ml.Regressor, len(s.keys))
+	for i := range models {
+		models[i] = factory()
+	}
+	errs := make([]error, len(s.keys))
+	workers := min(runtime.GOMAXPROCS(0), len(s.keys))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				n := int(next.Add(1)) - 1
+				if n >= len(s.keys) {
+					return
+				}
+				errs[n] = s.train(models[n], groups[s.keys[n]])
+			}
+		}()
+	}
+	wg.Wait()
+	s.models = make(map[modelKey]ml.Regressor, len(s.keys))
+	for i, key := range s.keys {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("core: %s model for %v: %w", name, key.cp, errs[i])
+		}
+		s.models[key] = models[i]
+	}
+	s.trainTime = time.Since(start)
 	return s, nil
+}
+
+// train fits one regressor on one model key's rows.
+func (s *MLMSTP) train(m ml.Regressor, rows []TrainRow) error {
+	X := make([][]float64, len(rows))
+	y := make([]float64, len(rows))
+	for i, r := range rows {
+		X[i] = s.inputRow(r.FA, r.FB, r.X)
+		// Train on the log of the baseline-relative EDP: absolute EDP
+		// spans orders of magnitude across pairs and sizes, but the
+		// response to the knobs — what the argmin needs — is a small,
+		// class-determined surface. The monotone map leaves the argmin
+		// unchanged.
+		y[i] = math.Log(r.RelEDP)
+	}
+	return m.Train(X, y)
 }
 
 // Models reports the number of trained per-(class-pair, size) models.
@@ -334,29 +392,30 @@ func (s *MLMSTP) model(a, b Observation) (ml.Regressor, error) {
 	if m, ok := s.models[modelKey{cp, sa, sb}]; ok {
 		return m, nil
 	}
-	// Nearest size combination within the class pair.
+	// Nearest size combination within the class pair. Both fallbacks
+	// walk the sorted keys, so ties go to the lowest key.
 	var best ml.Regressor
 	bestD := math.Inf(1)
-	for key, m := range s.models {
+	for _, key := range s.keys {
 		if key.cp != cp {
 			continue
 		}
 		d := math.Abs(math.Log(key.sizeA/sa)) + math.Abs(math.Log(key.sizeB/sb))
 		if d < bestD {
-			best, bestD = m, d
+			best, bestD = s.models[key], d
 		}
 	}
 	if best != nil {
 		return best, nil
 	}
 	// Any model sharing a class, then any at all.
-	for key, m := range s.models {
+	for _, key := range s.keys {
 		if key.cp.A == ca || key.cp.B == ca || key.cp.A == cb || key.cp.B == cb {
-			return m, nil
+			return s.models[key], nil
 		}
 	}
-	for _, m := range s.models {
-		return m, nil
+	if len(s.keys) > 0 {
+		return s.models[s.keys[0]], nil
 	}
 	return nil, fmt.Errorf("core: %s: no trained models", s.name)
 }

@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"ecost/internal/ml"
@@ -36,33 +36,17 @@ type mlmModelFile struct {
 	Model  json.RawMessage `json:"model"`
 }
 
-// SaveModels writes every trained regressor to w in sorted key order.
+// SaveModels writes every trained regressor to w in compareModelKeys
+// order.
 func (s *MLMSTP) SaveModels(w io.Writer) error {
-	keys := make([]modelKey, 0, len(s.models))
-	for k := range s.models {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.cp != b.cp {
-			if a.cp.A != b.cp.A {
-				return a.cp.A < b.cp.A
-			}
-			return a.cp.B < b.cp.B
-		}
-		if a.sizeA != b.sizeA {
-			return a.sizeA < b.sizeA
-		}
-		return a.sizeB < b.sizeB
-	})
 	file := mlmSTPFile{
 		Version:     mlmSTPFormatVersion,
 		Name:        s.name,
 		UseFeatures: s.useFeatures,
 		TrainTimeNS: s.trainTime.Nanoseconds(),
-		Models:      make([]mlmModelFile, 0, len(keys)),
+		Models:      make([]mlmModelFile, 0, len(s.keys)),
 	}
-	for _, k := range keys {
+	for _, k := range s.keys {
 		var buf bytes.Buffer
 		if err := ml.SaveModel(&buf, s.models[k]); err != nil {
 			return fmt.Errorf("core: save %s model %v: %w", s.name, k.cp, err)
@@ -99,6 +83,7 @@ func LoadMLMSTP(r io.Reader, db *Database) (*MLMSTP, error) {
 		name:        file.Name,
 		db:          db,
 		models:      make(map[modelKey]ml.Regressor, len(file.Models)),
+		keys:        make([]modelKey, 0, len(file.Models)),
 		useFeatures: file.UseFeatures,
 		trainTime:   time.Duration(file.TrainTimeNS),
 	}
@@ -112,7 +97,12 @@ func LoadMLMSTP(r io.Reader, db *Database) (*MLMSTP, error) {
 			sizeA: mf.SizeA,
 			sizeB: mf.SizeB,
 		}
+		if _, dup := s.models[k]; dup {
+			return nil, fmt.Errorf("core: load %s: duplicate model for %v at sizes (%g,%g)", file.Name, k.cp, k.sizeA, k.sizeB)
+		}
 		s.models[k] = m
+		s.keys = append(s.keys, k)
 	}
+	slices.SortFunc(s.keys, compareModelKeys)
 	return s, nil
 }

@@ -2,7 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
+	"strings"
 	"testing"
+
+	"ecost/internal/ml"
+	"ecost/internal/workloads"
 )
 
 // TestMLMSTPRoundTrip checks SaveModels/LoadMLMSTP preserves the
@@ -47,5 +53,75 @@ func TestMLMSTPRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(saved, again.Bytes()) {
 		t.Fatal("re-serialized bytes differ from original save")
+	}
+}
+
+// TestModelFallbackDeterministic probes the off-grid fallback of
+// MLMSTP.model at √5 GB, the log-space midpoint of the fixture's 1 and
+// 5 GB sizes: a cross-class pair there is exactly as far from key
+// (1,5) as from (5,1). The tie must go to the lowest key on every call,
+// and a copy reloaded from SaveModels must pick the same model.
+func TestModelFallbackDeterministic(t *testing.T) {
+	fixture(t)
+	var buf bytes.Buffer
+	if err := fix.rep.SaveModels(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadMLMSTP(&buf, fix.db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	modelBytes := func(m ml.Regressor) []byte {
+		var b bytes.Buffer
+		if err := ml.SaveModel(&b, m); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	size := math.Sqrt(5)
+	apps := workloads.Apps()
+	for _, appA := range apps {
+		oa := obsOf(t, appA.Name, size)
+		for _, appB := range apps {
+			ob := obsOf(t, appB.Name, size)
+			first, err := fix.rep.model(oa, ob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for call := 1; call < 64; call++ {
+				if m, _ := fix.rep.model(oa, ob); m != first {
+					t.Fatalf("%s+%s at %.3f GB: call %d picked a different model", appA.Name, appB.Name, size, call)
+				}
+			}
+			m, err := loaded.model(oa, ob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(modelBytes(m), modelBytes(first)) {
+				t.Fatalf("%s+%s at %.3f GB: reloaded technique picked a different model", appA.Name, appB.Name, size)
+			}
+		}
+	}
+}
+
+// TestLoadMLMSTPRejectsDuplicateKey: a model file naming one key twice
+// is malformed (SaveModels writes each key once) and fails to load.
+func TestLoadMLMSTPRejectsDuplicateKey(t *testing.T) {
+	fixture(t)
+	var buf bytes.Buffer
+	if err := fix.rep.SaveModels(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var file mlmSTPFile
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
+	file.Models = append(file.Models, file.Models[0])
+	dup, err := json.Marshal(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadMLMSTP(bytes.NewReader(dup), fix.db); err == nil || !strings.Contains(err.Error(), "duplicate model") {
+		t.Fatalf("loading a file with a repeated key: err = %v, want a duplicate-model error", err)
 	}
 }

@@ -120,22 +120,29 @@ func (m *MLP) train(X [][]float64, y []float64) error {
 	m.w2 = initW(m.Hidden + 1)
 	m.dw2 = make([]float64, m.Hidden+1)
 
-	hidden := make([]float64, m.Hidden)
+	// The loop reads the weights through locals sliced to the input
+	// width, so the compiler drops the bounds checks. Keep every
+	// floating-point operation in its order: persisted models are
+	// pinned bit for bit (TestTrainedModelsPinned in internal/core).
+	nh, mom := m.Hidden, m.Momentum
+	w2, dw2 := m.w2[:nh+1], m.dw2[:nh+1]
+	hidden := make([]float64, nh)
 	for epoch := 0; epoch < m.Epochs; epoch++ {
 		lr := m.LearningRate / (1 + 0.01*float64(epoch))
 		for _, i := range rng.Perm(rows) {
-			x := Xs[i]
+			x := Xs[i][:cols]
 			// Forward.
-			for h := 0; h < m.Hidden; h++ {
-				s := m.w1[h][cols] // bias
-				for j := 0; j < cols; j++ {
-					s += m.w1[h][j] * x[j]
+			for h := range hidden {
+				w1h := m.w1[h][:cols+1]
+				s := w1h[cols] // bias
+				for j, wj := range w1h[:cols] {
+					s += wj * x[j]
 				}
 				hidden[h] = sigmoid(s)
 			}
-			out := m.w2[m.Hidden]
-			for h := 0; h < m.Hidden; h++ {
-				out += m.w2[h] * hidden[h]
+			out := w2[nh]
+			for h, hv := range hidden {
+				out += w2[h] * hv
 			}
 			// Backward (squared error), with the gradient clipped: the
 			// targets are standardized, so an error beyond a few σ only
@@ -146,21 +153,22 @@ func (m *MLP) train(X [][]float64, y []float64) error {
 			} else if errOut < -3 {
 				errOut = -3
 			}
-			for h := 0; h < m.Hidden; h++ {
-				g := errOut * hidden[h]
-				m.dw2[h] = m.Momentum*m.dw2[h] - lr*g
-				deltaH := errOut * m.w2[h] * hidden[h] * (1 - hidden[h])
-				for j := 0; j < cols; j++ {
-					gh := deltaH * x[j]
-					m.dw1[h][j] = m.Momentum*m.dw1[h][j] - lr*gh
-					m.w1[h][j] += m.dw1[h][j]
+			for h, hv := range hidden {
+				w1h, dw1h := m.w1[h][:cols+1], m.dw1[h][:cols+1]
+				g := errOut * hv
+				dw2[h] = mom*dw2[h] - lr*g
+				deltaH := errOut * w2[h] * hv * (1 - hv)
+				for j, xj := range x {
+					gh := deltaH * xj
+					dw1h[j] = mom*dw1h[j] - lr*gh
+					w1h[j] += dw1h[j]
 				}
-				m.dw1[h][cols] = m.Momentum*m.dw1[h][cols] - lr*deltaH
-				m.w1[h][cols] += m.dw1[h][cols]
-				m.w2[h] += m.dw2[h]
+				dw1h[cols] = mom*dw1h[cols] - lr*deltaH
+				w1h[cols] += dw1h[cols]
+				w2[h] += dw2[h]
 			}
-			m.dw2[m.Hidden] = m.Momentum*m.dw2[m.Hidden] - lr*errOut
-			m.w2[m.Hidden] += m.dw2[m.Hidden]
+			dw2[nh] = mom*dw2[nh] - lr*errOut
+			w2[nh] += dw2[nh]
 		}
 	}
 	return nil

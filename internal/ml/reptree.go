@@ -2,7 +2,7 @@ package ml
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"ecost/internal/sim"
 )
@@ -25,6 +25,29 @@ type REPTree struct {
 
 	root   *node
 	leaves int
+	// scratch holds one feature column of a node's rows, sorted, while
+	// Train runs; grow reuses it across nodes and features.
+	scratch []splitPoint
+}
+
+// splitPoint is one row of a node projected onto the feature under
+// test: its value and its target.
+type splitPoint struct{ x, y float64 }
+
+// compareSplitPoints orders split points by value. It reports "less"
+// exactly when a.x < b.x, so slices.SortFunc — generated from the same
+// pdqsort template as sort.Slice — permutes ties exactly as sort.Slice
+// on row indices would. The split order, and so every persisted tree,
+// depends on that permutation (TestSplitSortMatchesSortSlice,
+// TestTrainedModelsPinned in internal/core).
+func compareSplitPoints(a, b splitPoint) int {
+	switch {
+	case a.x < b.x:
+		return -1
+	case b.x < a.x:
+		return 1
+	}
+	return 0
 }
 
 type node struct {
@@ -67,11 +90,13 @@ func (t *REPTree) Train(X [][]float64, y []float64) error {
 	}
 	pruneIdx, growIdx := idx[:nPrune], idx[nPrune:]
 
+	t.scratch = make([]splitPoint, rows)
 	t.root = t.grow(X, y, growIdx, minLeaf, 1)
 	if t.root == nil {
 		// Degenerate: grow set empty after the split; fall back to all data.
 		t.root = t.grow(X, y, idx, minLeaf, 1)
 	}
+	t.scratch = nil
 	if nPrune > 0 {
 		for _, i := range pruneIdx {
 			t.accumulatePrune(t.root, X[i], y[i])
@@ -95,28 +120,30 @@ func (t *REPTree) grow(X [][]float64, y []float64, idx []int, minLeaf, depth int
 	bestGain := 0.0
 	bestF, bestThresh := -1, 0.0
 	cols := len(X[idx[0]])
-	order := make([]int, len(idx))
+	pts := t.scratch[:len(idx)]
 	for f := 0; f < cols; f++ {
-		copy(order, idx)
-		sort.Slice(order, func(a, b int) bool { return X[order[a]][f] < X[order[b]][f] })
+		for k, i := range idx {
+			pts[k] = splitPoint{X[i][f], y[i]}
+		}
+		slices.SortFunc(pts, compareSplitPoints)
 		// Prefix sums over the sorted order for O(n) split scan.
 		var sumL, sqL float64
 		sumR, sqR := 0.0, 0.0
-		for _, i := range order {
-			sumR += y[i]
-			sqR += y[i] * y[i]
+		for _, p := range pts {
+			sumR += p.y
+			sqR += p.y * p.y
 		}
-		nTot := float64(len(order))
-		for k := 0; k < len(order)-1; k++ {
-			i := order[k]
-			sumL += y[i]
-			sqL += y[i] * y[i]
-			sumR -= y[i]
-			sqR -= y[i] * y[i]
-			if k+1 < minLeaf || len(order)-k-1 < minLeaf {
+		nTot := float64(len(pts))
+		for k := 0; k < len(pts)-1; k++ {
+			p := pts[k]
+			sumL += p.y
+			sqL += p.y * p.y
+			sumR -= p.y
+			sqR -= p.y * p.y
+			if k+1 < minLeaf || len(pts)-k-1 < minLeaf {
 				continue
 			}
-			if X[order[k]][f] == X[order[k+1]][f] {
+			if p.x == pts[k+1].x {
 				continue // cannot split between equal values
 			}
 			nl, nr := float64(k+1), nTot-float64(k+1)
@@ -125,23 +152,31 @@ func (t *REPTree) grow(X [][]float64, y []float64, idx []int, minLeaf, depth int
 			if gain := sse - sseL - sseR; gain > bestGain+1e-12 {
 				bestGain = gain
 				bestF = f
-				bestThresh = (X[order[k]][f] + X[order[k+1]][f]) / 2
+				bestThresh = (p.x + pts[k+1].x) / 2
 			}
 		}
 	}
 	if bestF < 0 {
 		return n
 	}
-	var li, ri []int
+	// Partition idx, keeping its order on each side, into one buffer.
+	nl := 0
+	for _, i := range idx {
+		if X[i][bestF] <= bestThresh {
+			nl++
+		}
+	}
+	if nl == 0 || nl == len(idx) {
+		return n
+	}
+	split := make([]int, len(idx))
+	li, ri := split[:0:nl], split[nl:nl]
 	for _, i := range idx {
 		if X[i][bestF] <= bestThresh {
 			li = append(li, i)
 		} else {
 			ri = append(ri, i)
 		}
-	}
-	if len(li) == 0 || len(ri) == 0 {
-		return n
 	}
 	n.feature = bestF
 	n.thresh = bestThresh
