@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -78,6 +79,9 @@ func (f runFlags) contradiction() string {
 	}
 	if f.Jobs < 0 {
 		return "-jobs cannot be negative; 0 means the scenario as-is"
+	}
+	if f.Arrival < 0 || math.IsNaN(f.Arrival) || math.IsInf(f.Arrival, 0) {
+		return "-arrival must be a finite, non-negative mean gap; 0 means every job at t=0"
 	}
 	if (f.MetricsJSON || f.MetricsVolatile) && !f.Metrics {
 		return "-metrics-json and -metrics-volatile shape the -metrics snapshot; pass -metrics as well"

@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,6 +29,10 @@ func TestFlagContradictions(t *testing.T) {
 		{"nonsense nodes offline", runFlags{Nodes: -4}, "-nodes must be a positive"},
 		{"nonsense nodes online", runFlags{Online: true, Nodes: -1}, "-nodes must be a positive"},
 		{"negative jobs", runFlags{Online: true, Jobs: -1}, "-jobs cannot be negative"},
+		{"negative arrival", runFlags{Online: true, Arrival: -1}, "-arrival must be a finite, non-negative"},
+		{"NaN arrival", runFlags{Online: true, Arrival: math.NaN()}, "-arrival must be a finite, non-negative"},
+		{"infinite arrival", runFlags{Online: true, Arrival: math.Inf(1)}, "-arrival must be a finite, non-negative"},
+		{"zero arrival", runFlags{Online: true, Arrival: 0}, ""},
 		{"jobs offline", runFlags{Jobs: 2000}, "-jobs requires the online scheduler"},
 		{"jobs online", runFlags{Online: true, Jobs: 2000}, ""},
 		// Value checks outrank combination checks: a nonsense -nodes is

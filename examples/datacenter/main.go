@@ -23,7 +23,6 @@ import (
 	"ecost/internal/experiments"
 	"ecost/internal/mapreduce"
 	"ecost/internal/metrics"
-	"ecost/internal/sim"
 )
 
 func main() {
@@ -95,14 +94,17 @@ func onlineWithMetrics(env *experiments.Env, nodes int) error {
 	reg := metrics.NewRegistry()
 	model := mapreduce.NewModel(cluster.AtomC2758())
 	model.Metrics = reg
-	sched, err := core.NewOnlineScheduler(sim.NewEngine(), model, env.DB,
-		core.NewMeteredSTP(env.LkT, model, reg), env.Profiler, nodes)
+	tuner := core.NewMeteredSTP(env.LkT, model, reg)
+	sched, err := core.NewShardedScheduler(model, env.DB, env.Profiler,
+		func() core.STP { return tuner }, nodes, core.ShardedConfig{Shards: 1})
 	if err != nil {
 		return err
 	}
-	sched.SetMetrics(reg)
+	sched.Shard(0).SetMetrics(reg)
 	for _, j := range wl.Jobs {
-		sched.Submit(j.App, j.SizeGB, 0)
+		if err := sched.Submit(j.App, j.SizeGB, 0); err != nil {
+			return err
+		}
 	}
 	makespan, energy, err := sched.Run()
 	if err != nil {

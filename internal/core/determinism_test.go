@@ -47,16 +47,13 @@ func metricsRun(t *testing.T) (string, *OnlineScheduler) {
 	reg := metrics.NewRegistry()
 	prof := NewProfiler(fix.model, sim.NewRNG(99))
 	tuner := NewMeteredSTP(fix.lkt, fix.model, reg)
-	s, err := NewOnlineScheduler(sim.NewEngine(), fix.model, fix.db, tuner, prof, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, s := newSolo(t, fix.db, tuner, prof, 2)
 	s.SetMetrics(reg)
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm", "st", "ts"}
 	for i, name := range apps {
-		s.Submit(workloads.MustByName(name), 5, float64(i)*40)
+		c.Submit(workloads.MustByName(name), 5, float64(i)*40)
 	}
-	if _, _, err := s.Run(); err != nil {
+	if _, _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

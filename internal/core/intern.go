@@ -19,8 +19,7 @@ var obsGen atomic.Uint32
 // MemoSTP key — instead of copying and hashing the 272-byte value.
 // Entries are never removed: an id lives as long as its table, which
 // lives as long as the scheduler that owns it. The table is written
-// only while submitting (router side, or inside the unsharded
-// scheduler's own arrival events) and is read-only while shards run.
+// only by the router's Submit and is read-only while shards run.
 type obsTable struct {
 	gen uint32
 	obs []Observation

@@ -29,8 +29,8 @@ func internStream(t *testing.T, rounds int, reverse bool) []JobSpec {
 
 // TestObservationInterning pins the id rules: under ProfileMemo the
 // router interns one observation per distinct (app, size) and every
-// recurrence reuses its id; noisy profiling — the router's and
-// OnlineScheduler.Submit's — interns one per arrival, with no lookup.
+// recurrence reuses its id; noisy profiling interns one per arrival,
+// with no lookup. No shard's classify memo outgrows the table.
 func TestObservationInterning(t *testing.T) {
 	fixture(t)
 	stream := internStream(t, 3, false)
@@ -81,24 +81,11 @@ func TestObservationInterning(t *testing.T) {
 		if _, _, err := c.Run(); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	s, err := NewOnlineScheduler(sim.NewEngine(), fix.model, fix.db, NewMemoSTP(fix.lkt, nil),
-		NewProfiler(fix.model, sim.NewRNG(5)), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, j := range stream {
-		s.Submit(j.App, j.SizeGB, float64(i/4)*50)
-	}
-	if _, _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(s.obs.obs); got != len(stream) {
-		t.Fatalf("Submit interned %d observations for %d arrivals", got, len(stream))
-	}
-	if len(s.classMemo) > len(s.obs.obs) {
-		t.Fatalf("classify memo spans %d ids, table %d", len(s.classMemo), len(s.obs.obs))
+		for i, sh := range c.shards {
+			if len(sh.classMemo) > len(c.table.obs) {
+				t.Fatalf("memo %v: shard %d classify memo spans %d ids, table %d", memo, i, len(sh.classMemo), len(c.table.obs))
+			}
+		}
 	}
 }
 

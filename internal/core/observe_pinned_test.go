@@ -143,8 +143,8 @@ func meteredShards(t *testing.T, db *Database, base func() STP, nodes int, cfg S
 }
 
 // TestObserverExportsPinned pins the observer exports of three runs:
-// (a) the standalone scheduler on auditedRun's stream, in both
-// metrics/audit attach orders; (b) four stealing shards on the skewed
+// (a) one shard on auditedRun's stream, in both metrics/audit attach
+// orders (generated by the retired standalone drive); (b) four stealing shards on the skewed
 // stream; (c) the stale-database drift run, whose alerts reach the
 // audit log, the metrics mirrors and the flight dumps.
 func TestObserverExportsPinned(t *testing.T) {

@@ -151,20 +151,17 @@ func TestQueueMetricsCounts(t *testing.T) {
 		}
 	}
 	C, I := workloads.Compute, workloads.IOBound
-	eng := sim.NewEngine()
-	s, err := NewOnlineScheduler(eng, fix.model, fix.db, fix.lkt, NewProfiler(fix.model, sim.NewRNG(99)), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, s := newSolo(t, fix.db, fix.lkt, NewProfiler(fix.model, sim.NewRNG(99)), 1)
 	reg := metrics.NewRegistry()
 	s.SetMetrics(reg)
-	for _, c := range []workloads.Class{C, C, I, C, I} {
-		s.Submit(appOf[c], 5, 0)
+	for _, cl := range []workloads.Class{C, C, I, C, I} {
+		c.Submit(appOf[cl], 5, 0)
 	}
-	for i := 0; i < 5; i++ {
-		if !eng.Step() {
-			t.Fatal("engine drained before all arrivals fired")
-		}
+	// Deal the arrivals into the shard's ring, then step its engine: the
+	// first event delivers all five t=0 arrivals.
+	c.deal()
+	if !s.Engine.Step() {
+		t.Fatal("engine drained before the arrivals fired")
 	}
 	if got := reg.Counter("queue.push.C").Value(); got != 3 {
 		t.Errorf("queue.push.C = %d, want 3", got)
@@ -183,7 +180,7 @@ func TestQueueMetricsCounts(t *testing.T) {
 		t.Errorf("queued per class = %v, want C:1 I:2", byClass)
 	}
 	// Leaving the queue never counts as a push.
-	if _, _, err := s.Run(); err != nil {
+	if _, _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("queue.push.C").Value() + reg.Counter("queue.push.I").Value(); got != 5 {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -20,13 +19,13 @@ const maxPerNode = 2
 // with head reservation, and are co-located onto nodes by the pairing
 // decision tree with STP-tuned configurations. Job progress follows the
 // execution model's fluid contention solver, recomputed whenever a
-// node's resident set changes.
+// node's resident set changes. Each is one shard of a ShardedScheduler,
+// which routes, profiles and delivers its arrivals.
 type OnlineScheduler struct {
-	Engine   *sim.Engine
-	Model    *mapreduce.Model
-	DB       *Database
-	Tuner    STP
-	Profiler *Profiler
+	Engine *sim.Engine
+	Model  *mapreduce.Model
+	DB     *Database
+	Tuner  STP
 
 	queue *WaitQueue
 	nodes []*onlineNode
@@ -39,7 +38,7 @@ type OnlineScheduler struct {
 	// base offsets node ids in every export (metrics events, span
 	// attributes, audit rows, CompletedJob.Node) so a shard owning
 	// nodes [base, base+len) reports cluster-global ids while its
-	// internal indexes stay dense. Zero for the unsharded scheduler.
+	// internal indexes stay dense. Zero for the first shard.
 	base int
 
 	// fastAcc selects the O(1) aggregate accrual path: reschedule
@@ -55,9 +54,8 @@ type OnlineScheduler struct {
 	fastAcc    bool
 	phaseWatts [3]float64
 
-	// obs interns every observation this scheduler is handed; arrivals,
-	// jobs and the memos below carry its ids (see obsTable). A sharded
-	// control plane's shards all share the router's table.
+	// obs is the router's observation table, shared by every shard;
+	// arrivals, jobs and the memos below carry its ids (see obsTable).
 	obs *obsTable
 
 	// steadyMemo caches steady-state contention solves by the residents'
@@ -83,7 +81,6 @@ type OnlineScheduler struct {
 	freeSet   nodeSet
 	halfSet   nodeSet
 
-	nextID    int
 	pending   int
 	completed []CompletedJob
 
@@ -244,22 +241,17 @@ type onlineNode struct {
 	accPhase int8
 }
 
-// NewOnlineScheduler builds a scheduler over `nodes` single-node lanes.
-func NewOnlineScheduler(eng *sim.Engine, model *mapreduce.Model, db *Database, tuner STP, prof *Profiler, nodes int) (*OnlineScheduler, error) {
-	if eng == nil || model == nil || db == nil || tuner == nil || prof == nil {
-		return nil, fmt.Errorf("core: online scheduler: nil dependency")
-	}
-	if nodes < 1 {
-		return nil, fmt.Errorf("core: online scheduler: need at least one node")
-	}
+// newOnlineScheduler builds one shard's scheduler over `nodes`
+// single-node lanes reading the router's table obs;
+// NewShardedScheduler validates its dependencies.
+func newOnlineScheduler(eng *sim.Engine, model *mapreduce.Model, db *Database, tuner STP, obs *obsTable, nodes int) *OnlineScheduler {
 	s := &OnlineScheduler{
 		Engine:     eng,
 		Model:      model,
 		DB:         db,
 		Tuner:      tuner,
-		Profiler:   prof,
 		queue:      NewWaitQueue(),
-		obs:        newObsTable(),
+		obs:        obs,
 		steadyMemo: make(map[steadyKey]steadyVal),
 	}
 	// The idle draw is the same expression Model.Steady evaluates for an
@@ -275,7 +267,7 @@ func NewOnlineScheduler(eng *sim.Engine, model *mapreduce.Model, db *Database, t
 		s.freeSet.set(i, true)
 	}
 	s.freeCnt = nodes
-	return s, nil
+	return s
 }
 
 // SetNaive selects the legacy reference implementation: per-accrual
@@ -283,7 +275,7 @@ func NewOnlineScheduler(eng *sim.Engine, model *mapreduce.Model, db *Database, t
 // dispatch, and the linear partner scan in the wait queue. The naive
 // and indexed paths are bit-identical (golden-tested); the naive one
 // exists as the equivalence baseline and for `-ecost.naive` benchmark
-// comparisons. Call before the first Submit.
+// comparisons. Call before Run.
 func (s *OnlineScheduler) SetNaive(v bool) { s.naive = v }
 
 // gid maps a node's dense internal index to its cluster-global id.
@@ -293,7 +285,7 @@ func (s *OnlineScheduler) gid(n *onlineNode) int { return s.base + n.id }
 // the fastAcc field). It only takes effect while no tracer and no
 // audit log are attached and the scheduler is not in naive mode —
 // per-node and per-job energy attribution need the per-node walk.
-// Call before the first Submit.
+// Call before Run.
 func (s *OnlineScheduler) SetFastAccrual(v bool) {
 	s.fastAcc = v
 	if !v {
@@ -333,31 +325,11 @@ type steadyVal struct {
 // churn cannot grow memory).
 const steadyMemoCap = 4096
 
-// Submit schedules a job arrival at the given simulated time. The job
-// is profiled inside its arrival event, and the fresh observation is
-// interned there: noisy profiling makes every arrival's profile unique,
-// so it takes a new table entry without a lookup.
-func (s *OnlineScheduler) Submit(app workloads.App, sizeGB, at float64) {
-	id := s.nextID
-	s.nextID++
-	s.pending++
-	s.Engine.At(at, func() {
-		obs, err := s.Profiler.Observe(app, sizeGB)
-		if err != nil {
-			panic(fmt.Sprintf("core: online profile: %v", err)) // model inputs are validated at Submit
-		}
-		s.arrive(id, s.obs.add(obs), at)
-	})
-}
-
 // pushArrival queues an arrival whose observation the sharded router
 // already interned in s.obs at index oid, under a router-assigned
 // cluster-global job id. The router profiles serially at submission
-// time (in submission order, so the sampler's draw sequence matches
-// in-event profiling for nondecreasing arrival times) and counts the
-// job in s.pending there; Run then deals each shard its arrivals, in
-// nondecreasing time order. Do not mix with Submit on the same
-// scheduler: Submit owns the internal id counter.
+// time and counts the job in s.pending there; Run then deals each
+// shard its arrivals, in nondecreasing time order.
 //
 // Arrivals land in the ring, not the event heap: one AtHead event per
 // scheduler delivers the ring head, batch-draining everything sharing
@@ -433,37 +405,10 @@ func (s *OnlineScheduler) EnergyJ() float64 { return s.energyJ }
 // QueueLen reports the current wait-queue length.
 func (s *OnlineScheduler) QueueLen() int { return s.queue.Len() }
 
-// Run drives the simulation until all submitted jobs complete and
-// returns the makespan and total energy.
-func (s *OnlineScheduler) Run() (makespan, energyJ float64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("core: online scheduler: %v", r)
-		}
-	}()
-	s.presizeCompleted()
-	// Every pending Submit interns one observation when it arrives.
-	s.obs.obs = slices.Grow(s.obs.obs, s.pending)
-	s.Engine.Run(0)
-	if s.pending > 0 {
-		return 0, 0, fmt.Errorf("core: online scheduler: %d jobs never completed", s.pending)
-	}
-	s.finishRun()
-	return s.Engine.Now(), s.energyJ, nil
-}
-
-// presizeCompleted reserves room for every pending job's completion
-// record, so the completion path never regrows the slice mid-run (a
-// thief shard that completes stolen jobs may still grow it).
-func (s *OnlineScheduler) presizeCompleted() {
-	s.completed = slices.Grow(s.completed, s.pending)
-}
-
 // finishRun closes out a drained run at the engine's current clock:
 // the last accrual interval is integrated and open occupancy spans are
 // finished. The sharded control plane advances every shard to the
-// global makespan first, so idle tails are billed exactly as the
-// single-scheduler run bills them.
+// global makespan first, so every shard bills the same idle tail.
 func (s *OnlineScheduler) finishRun() {
 	s.accrueEnergy() // close the last interval
 	s.ob.finish()

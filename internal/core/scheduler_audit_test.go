@@ -25,12 +25,7 @@ func auditedRun(t *testing.T) (*audit.Log, *metrics.Registry, *tracing.Tracer, *
 func auditedRunAttach(t *testing.T, auditFirst bool) (*audit.Log, *metrics.Registry, *tracing.Tracer, *OnlineScheduler) {
 	t.Helper()
 	fixture(t)
-	eng := sim.NewEngine()
-	prof := NewProfiler(fix.model, sim.NewRNG(99))
-	s, err := NewOnlineScheduler(eng, fix.model, fix.db, fix.lkt, prof, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, s := newSolo(t, fix.db, fix.lkt, NewProfiler(fix.model, sim.NewRNG(99)), 2)
 	reg := metrics.NewRegistry()
 	aud := audit.NewLog(audit.DriftConfig{})
 	if auditFirst {
@@ -40,13 +35,13 @@ func auditedRunAttach(t *testing.T, auditFirst bool) (*audit.Log, *metrics.Regis
 		s.SetMetrics(reg)
 		s.SetAudit(aud)
 	}
-	tr := tracing.New(eng.Clock())
+	tr := tracing.New(s.Engine.Clock())
 	s.SetTracer(tr)
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm", "st", "ts"}
 	for i, name := range apps {
-		s.Submit(workloads.MustByName(name), 5, float64(i)*40)
+		c.Submit(workloads.MustByName(name), 5, float64(i)*40)
 	}
-	if _, _, err := s.Run(); err != nil {
+	if _, _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
 	return aud, reg, tr, s
@@ -144,22 +139,17 @@ func TestSchedulerAuditLeapForward(t *testing.T) {
 		t.Fatalf("degenerate priority order %v", prio)
 	}
 
-	eng := sim.NewEngine()
-	prof := NewProfiler(fix.model, sim.NewRNG(99))
-	s, err := NewOnlineScheduler(eng, fix.model, fix.db, fix.lkt, prof, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, s := newSolo(t, fix.db, fix.lkt, NewProfiler(fix.model, sim.NewRNG(99)), 1)
 	reg := metrics.NewRegistry()
 	s.SetMetrics(reg)
 	aud := audit.NewLog(audit.DriftConfig{})
 	s.SetAudit(aud)
 
-	s.Submit(base, 5, 0)    // job 0: reserve (empty node)
-	s.Submit(base, 5, 1)    // job 1: pair with the head's reservation intact
-	s.Submit(headApp, 5, 2) // job 2: queues as head — node is full
-	s.Submit(leapApp, 5, 3) // job 3: queues behind, better partner class
-	if _, _, err := s.Run(); err != nil {
+	c.Submit(base, 5, 0)    // job 0: reserve (empty node)
+	c.Submit(base, 5, 1)    // job 1: pair with the head's reservation intact
+	c.Submit(headApp, 5, 2) // job 2: queues as head — node is full
+	c.Submit(leapApp, 5, 3) // job 3: queues behind, better partner class
+	if _, _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -356,20 +346,16 @@ func TestDriftAlertStaleDatabase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.NewEngine()
-	s, err := NewOnlineScheduler(eng, fix.model, stale, &LkTSTP{DB: stale}, NewProfiler(fix.model, sim.NewRNG(99)), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, s := newSolo(t, stale, &LkTSTP{DB: stale}, NewProfiler(fix.model, sim.NewRNG(99)), 2)
 	reg := metrics.NewRegistry()
 	s.SetMetrics(reg)
 	aud := audit.NewLog(audit.DriftConfig{})
 	s.SetAudit(aud)
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm", "st", "ts"}
 	for i, name := range apps {
-		s.Submit(workloads.MustByName(name), 12, float64(i)*40)
+		c.Submit(workloads.MustByName(name), 12, float64(i)*40)
 	}
-	if _, _, err := s.Run(); err != nil {
+	if _, _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
 	alerts := aud.Alerts()

@@ -13,32 +13,25 @@ import (
 
 // tracedBusyScheduler builds a fully instrumented 4-node scheduler with
 // every node co-running two WS4 jobs: arrivals are submitted at t=0 and
-// the engine is stepped through exactly the arrival events, so the
+// the engine is stepped through exactly the arrival event, so the
 // placements happen but no completion has fired yet.
 func tracedBusyScheduler(tb testing.TB) *OnlineScheduler {
 	tb.Helper()
 	fixture(tb)
-	eng := sim.NewEngine()
-	reg := metrics.NewRegistry()
-	prof := NewProfiler(fix.model, sim.NewRNG(3))
-	s, err := NewOnlineScheduler(eng, fix.model, fix.db, fix.lkt, prof, 4)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	s.SetMetrics(reg)
-	s.SetTracer(tracing.New(eng.Clock()))
+	c, s := newSolo(tb, fix.db, fix.lkt, NewProfiler(fix.model, sim.NewRNG(3)), 4)
+	s.SetMetrics(metrics.NewRegistry())
+	s.SetTracer(tracing.New(s.Engine.Clock()))
 	s.SetAudit(audit.NewLog(audit.DriftConfig{}))
 	wl, err := Scenario("WS4")
 	if err != nil {
 		tb.Fatal(err)
 	}
 	for _, j := range wl.Jobs[:8] {
-		s.Submit(j.App, j.SizeGB, 0)
+		c.Submit(j.App, j.SizeGB, 0)
 	}
-	for i := 0; i < 8; i++ {
-		if !eng.Step() {
-			tb.Fatal("engine drained before all arrivals fired")
-		}
+	c.deal()
+	if !s.Engine.Step() {
+		tb.Fatal("engine drained before the arrivals fired")
 	}
 	for _, n := range s.nodes {
 		if len(n.residents) == 0 {
@@ -82,14 +75,14 @@ func BenchmarkAccrueEnergyTraced(b *testing.B) {
 // observability sink off, for benchmarking the disabled fast paths.
 func disabledScheduler(tb testing.TB) *OnlineScheduler {
 	tb.Helper()
-	eng := sim.NewEngine()
 	model := mapreduce.NewModel(cluster.AtomC2758())
 	db := &Database{}
-	s, err := NewOnlineScheduler(eng, model, db, &LkTSTP{DB: db}, NewProfiler(model, sim.NewRNG(1)), 1)
+	c, err := NewShardedScheduler(model, db, NewProfiler(model, sim.NewRNG(1)),
+		func() STP { return &LkTSTP{DB: db} }, 1, ShardedConfig{Shards: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return s
+	return c.Shard(0)
 }
 
 // BenchmarkDisabledDepthSample measures the observer seam's pick
@@ -142,28 +135,23 @@ func BenchmarkOnlineLargeCluster(b *testing.B) {
 	completed := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		prof := NewProfiler(fix.model, sim.NewRNG(17))
 		var tuner STP = fix.lkt
 		if !*naiveFlag {
 			tuner = NewMemoSTP(fix.lkt, nil)
 		}
-		s, err := NewOnlineScheduler(eng, fix.model, fix.db, tuner, prof, nodes)
-		if err != nil {
-			b.Fatal(err)
-		}
+		c, s := newSolo(b, fix.db, tuner, NewProfiler(fix.model, sim.NewRNG(17)), nodes)
 		s.SetNaive(*naiveFlag)
 		rng := sim.NewRNG(18)
 		at := 0.0
 		for j := 0; j < jobs; j++ {
 			spec := wl.Jobs[j%len(wl.Jobs)]
-			s.Submit(spec.App, spec.SizeGB, at)
+			c.Submit(spec.App, spec.SizeGB, at)
 			at += rng.Exp(mean)
 		}
-		if _, _, err := s.Run(); err != nil {
+		if _, _, err := c.Run(); err != nil {
 			b.Fatal(err)
 		}
-		completed += len(s.Completed())
+		completed += len(c.Completed())
 	}
 	b.StopTimer()
 	if completed != b.N*jobs {

@@ -33,39 +33,28 @@ type equivResult struct {
 	decisions        string
 }
 
-// equivRun drives one WS4 online run with metrics, tracing, and
-// auditing all attached. naive selects the legacy reference paths and
-// drops the memoization wrapper, so the comparison covers every
+// equivRun drives one one-shard WS4 online run with metrics, tracing,
+// and auditing all attached. naive selects the legacy reference paths
+// and drops the memoization wrapper, so the comparison covers every
 // optimized component at once.
 func equivRun(t *testing.T, naive bool) equivResult {
 	t.Helper()
 	fixture(t)
 	reg := metrics.NewRegistry()
-	eng := sim.NewEngine()
-	prof := NewProfiler(fix.model, sim.NewRNG(99))
 	var inner STP = fix.lkt
 	if !naive {
 		inner = NewMemoSTP(fix.lkt, reg)
 	}
 	tuner := NewMeteredSTP(inner, fix.model, reg)
-	s, err := NewOnlineScheduler(eng, fix.model, fix.db, tuner, prof, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, s := newSolo(t, fix.db, tuner, NewProfiler(fix.model, sim.NewRNG(99)), 2)
 	s.SetNaive(naive)
 	s.SetMetrics(reg)
-	tr := tracing.New(eng.Clock())
+	tr := tracing.New(s.Engine.Clock())
 	s.SetTracer(tr)
 	aud := audit.NewLog(audit.DriftConfig{})
 	s.SetAudit(aud)
-	wl, err := Scenario("WS4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, j := range wl.Jobs {
-		s.Submit(j.App, j.SizeGB, float64(i)*40)
-	}
-	mk, en, err := s.Run()
+	submitWS4(t)(c)
+	mk, en, err := c.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +119,8 @@ func TestOnlineNaiveEquivalence(t *testing.T) {
 // indexed dispatch equivalence rests on.
 func TestNodeSetsAgainstLinearScan(t *testing.T) {
 	fixture(t)
-	eng := sim.NewEngine()
-	prof := NewProfiler(fix.model, sim.NewRNG(5))
-	s, err := NewOnlineScheduler(eng, fix.model, fix.db, fix.lkt, prof, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, s := newSolo(t, fix.db, fix.lkt, NewProfiler(fix.model, sim.NewRNG(5)), 5)
+	eng := s.Engine
 	apps := workloads.Training()
 	rng := sim.NewRNG(6)
 	at := 0.0
@@ -144,9 +129,10 @@ func TestNodeSetsAgainstLinearScan(t *testing.T) {
 		if i%3 == 0 {
 			size = 5
 		}
-		s.Submit(apps[i%len(apps)], size, at)
+		c.Submit(apps[i%len(apps)], size, at)
 		at += rng.Exp(150)
 	}
+	c.deal()
 	check := func() {
 		t.Helper()
 		for _, n := range s.nodes {
@@ -165,8 +151,8 @@ func TestNodeSetsAgainstLinearScan(t *testing.T) {
 	if s.pending != 0 {
 		t.Fatalf("%d jobs never completed", s.pending)
 	}
-	if len(s.Completed()) != 40 {
-		t.Fatalf("completed %d jobs, want 40", len(s.Completed()))
+	if len(c.Completed()) != 40 {
+		t.Fatalf("completed %d jobs, want 40", len(c.Completed()))
 	}
 }
 
@@ -176,12 +162,7 @@ func TestNodeSetsAgainstLinearScan(t *testing.T) {
 func TestOnlineLargeClusterShortSmoke(t *testing.T) {
 	fixture(t)
 	const nodes, jobs = 256, 2000
-	eng := sim.NewEngine()
-	prof := NewProfiler(fix.model, sim.NewRNG(17))
-	s, err := NewOnlineScheduler(eng, fix.model, fix.db, NewMemoSTP(fix.lkt, nil), prof, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, s := newSolo(t, fix.db, NewMemoSTP(fix.lkt, nil), NewProfiler(fix.model, sim.NewRNG(17)), nodes)
 	wl, err := Scenario("WS4")
 	if err != nil {
 		t.Fatal(err)
@@ -190,14 +171,14 @@ func TestOnlineLargeClusterShortSmoke(t *testing.T) {
 	at := 0.0
 	for i := 0; i < jobs; i++ {
 		j := wl.Jobs[i%len(wl.Jobs)]
-		s.Submit(j.App, j.SizeGB, at)
+		c.Submit(j.App, j.SizeGB, at)
 		at += rng.Exp(6)
 	}
-	mk, en, err := s.Run()
+	mk, en, err := c.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(s.Completed()); got != jobs {
+	if got := len(c.Completed()); got != jobs {
 		t.Fatalf("completed %d jobs, want %d", got, jobs)
 	}
 	if mk <= 0 || en <= 0 {

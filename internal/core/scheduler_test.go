@@ -3,34 +3,44 @@ package core
 import (
 	"testing"
 
-	"ecost/internal/sim"
 	"ecost/internal/workloads"
 )
 
-func newSched(t *testing.T, nodes int) (*OnlineScheduler, *sim.Engine) {
+// newSolo builds the one-shard control plane every single-scheduler
+// test drives over the fixture model, returning it with its only shard.
+func newSolo(t testing.TB, db *Database, tuner STP, prof *Profiler, nodes int) (*ShardedScheduler, *OnlineScheduler) {
 	t.Helper()
 	fixture(t)
-	eng := sim.NewEngine()
-	s, err := NewOnlineScheduler(eng, fix.model, fix.db, fix.rep, fix.profiler, nodes)
+	c, err := NewShardedScheduler(fix.model, db, prof, func() STP { return tuner }, nodes, ShardedConfig{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, eng
+	return c, c.Shard(0)
+}
+
+func newSched(t *testing.T, nodes int) *ShardedScheduler {
+	t.Helper()
+	fixture(t)
+	c, _ := newSolo(t, fix.db, fix.rep, fix.profiler, nodes)
+	return c
 }
 
 func TestOnlineSchedulerValidation(t *testing.T) {
 	fixture(t)
-	eng := sim.NewEngine()
-	if _, err := NewOnlineScheduler(nil, fix.model, fix.db, fix.rep, fix.profiler, 1); err == nil {
-		t.Error("nil engine accepted")
+	tuner := func() STP { return fix.rep }
+	if _, err := NewShardedScheduler(nil, fix.db, fix.profiler, tuner, 1, ShardedConfig{Shards: 1}); err == nil {
+		t.Error("nil model accepted")
 	}
-	if _, err := NewOnlineScheduler(eng, fix.model, fix.db, fix.rep, fix.profiler, 0); err == nil {
+	if _, err := NewShardedScheduler(fix.model, fix.db, nil, tuner, 1, ShardedConfig{Shards: 1}); err == nil {
+		t.Error("nil profiler accepted")
+	}
+	if _, err := NewShardedScheduler(fix.model, fix.db, fix.profiler, tuner, 0, ShardedConfig{Shards: 1}); err == nil {
 		t.Error("zero nodes accepted")
 	}
 }
 
 func TestOnlineSchedulerCompletesAll(t *testing.T) {
-	s, _ := newSched(t, 2)
+	s := newSched(t, 2)
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm"}
 	for i, name := range apps {
 		s.Submit(workloads.MustByName(name), 5, float64(i)*50)
@@ -54,13 +64,13 @@ func TestOnlineSchedulerCompletesAll(t *testing.T) {
 			t.Errorf("job %d got invalid config: %v", c.ID, err)
 		}
 	}
-	if s.QueueLen() != 0 {
-		t.Errorf("queue not drained: %d", s.QueueLen())
+	if n := s.Shard(0).QueueLen(); n != 0 {
+		t.Errorf("queue not drained: %d", n)
 	}
 }
 
 func TestOnlineSchedulerCoLocates(t *testing.T) {
-	s, _ := newSched(t, 1)
+	s := newSched(t, 1)
 	// Two jobs arriving together on one node must overlap in time.
 	s.Submit(workloads.MustByName("st"), 5, 0)
 	s.Submit(workloads.MustByName("pr"), 5, 0)
@@ -85,7 +95,7 @@ func TestOnlineSchedulerAtMostTwoPerNode(t *testing.T) {
 	// The model's Steady() validates core limits at every event, so an
 	// overcommit would surface as a Run error; here we check the paper's
 	// co-location cap of two applications per node.
-	s, _ := newSched(t, 1)
+	s := newSched(t, 1)
 	for _, name := range []string{"nb", "cf", "pr", "km", "svm"} {
 		s.Submit(workloads.MustByName(name), 1, 0)
 	}
@@ -114,7 +124,7 @@ func TestOnlineSchedulerAtMostTwoPerNode(t *testing.T) {
 
 func TestOnlineSchedulerFasterWithMoreNodes(t *testing.T) {
 	run := func(nodes int) float64 {
-		s, _ := newSched(t, nodes)
+		s := newSched(t, nodes)
 		for _, name := range []string{"nb", "pr", "km", "svm", "cf", "hmm", "nb", "pr"} {
 			s.Submit(workloads.MustByName(name), 5, 0)
 		}
@@ -131,7 +141,7 @@ func TestOnlineSchedulerFasterWithMoreNodes(t *testing.T) {
 }
 
 func TestOnlineSchedulerEnergyMatchesIdleFloor(t *testing.T) {
-	s, _ := newSched(t, 2)
+	s := newSched(t, 2)
 	s.Submit(workloads.MustByName("nb"), 1, 0)
 	makespan, energy, err := s.Run()
 	if err != nil {

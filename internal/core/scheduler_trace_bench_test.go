@@ -18,18 +18,13 @@ func BenchmarkTraceExport(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := sim.NewEngine()
-	s, err := NewOnlineScheduler(eng, fix.model, fix.db, fix.lkt,
-		NewProfiler(fix.model, sim.NewRNG(99)), 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := tracing.New(eng.Clock())
+	c, s := newSolo(b, fix.db, fix.lkt, NewProfiler(fix.model, sim.NewRNG(99)), 2)
+	tr := tracing.New(s.Engine.Clock())
 	s.SetTracer(tr)
 	for i, j := range wl.Jobs {
-		s.Submit(j.App, j.SizeGB, float64(i)*40)
+		c.Submit(j.App, j.SizeGB, float64(i)*40)
 	}
-	if _, _, err := s.Run(); err != nil {
+	if _, _, err := c.Run(); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

@@ -18,19 +18,14 @@ import (
 func tracedRun(t *testing.T) (*tracing.Tracer, *OnlineScheduler) {
 	t.Helper()
 	fixture(t)
-	eng := sim.NewEngine()
-	prof := NewProfiler(fix.model, sim.NewRNG(99))
-	s, err := NewOnlineScheduler(eng, fix.model, fix.db, fix.lkt, prof, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := tracing.New(eng.Clock())
+	c, s := newSolo(t, fix.db, fix.lkt, NewProfiler(fix.model, sim.NewRNG(99)), 2)
+	tr := tracing.New(s.Engine.Clock())
 	s.SetTracer(tr)
 	apps := []string{"nb", "pr", "km", "svm", "cf", "hmm", "st", "ts"}
 	for i, name := range apps {
-		s.Submit(workloads.MustByName(name), 5, float64(i)*40)
+		c.Submit(workloads.MustByName(name), 5, float64(i)*40)
 	}
-	if _, _, err := s.Run(); err != nil {
+	if _, _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
 	return tr, s

@@ -194,8 +194,8 @@ func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, n
 	if cfg.Shards > nodes {
 		return nil, fmt.Errorf("core: sharded scheduler: %d shards exceed %d nodes", cfg.Shards, nodes)
 	}
-	if newTuner == nil {
-		return nil, fmt.Errorf("core: sharded scheduler: nil tuner factory")
+	if model == nil || db == nil || prof == nil || newTuner == nil {
+		return nil, fmt.Errorf("core: sharded scheduler: nil dependency")
 	}
 	if cfg.StealBatch <= 0 {
 		cfg.StealBatch = DefaultStealBatch
@@ -214,12 +214,8 @@ func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, n
 		if tuner == nil {
 			return nil, fmt.Errorf("core: sharded scheduler: tuner factory returned nil for shard %d", i)
 		}
-		sh, err := NewOnlineScheduler(sim.NewEngine(), model, db, tuner, prof, n)
-		if err != nil {
-			return nil, fmt.Errorf("core: sharded scheduler: shard %d: %w", i, err)
-		}
+		sh := newOnlineScheduler(sim.NewEngine(), model, db, tuner, c.table, n)
 		sh.base = base
-		sh.obs = c.table
 		base += n
 		c.shards = append(c.shards, sh)
 	}
@@ -326,12 +322,16 @@ func memoOf(t STP) *MemoSTP {
 // at submission so the sampler's draw sequence matches the legacy
 // scheduler's in-event profiling order (every stream source — scenario
 // generators, trace replay, workload cycling — emits sorted arrivals).
-// An arrival at a negative, non-finite or out-of-order time, or one
-// that fails to profile, is rejected with an error before it is
+// An arrival at a negative, non-finite or out-of-order time, or of a
+// size that is not positive and finite, is rejected before it is
+// profiled; one that fails to profile is rejected too. Neither is
 // counted or routed, so Run still completes every accepted arrival.
 func (c *ShardedScheduler) Submit(app workloads.App, sizeGB, at float64) error {
 	if at < 0 || math.IsNaN(at) || math.IsInf(at, 0) {
 		return fmt.Errorf("core: sharded scheduler: submission time %g must be finite and non-negative", at)
+	}
+	if !(sizeGB > 0) || math.IsInf(sizeGB, 0) {
+		return fmt.Errorf("core: sharded scheduler: job size %g GB must be positive and finite", sizeGB)
 	}
 	if at < c.lastAt {
 		return fmt.Errorf("core: sharded scheduler: out-of-order submission at %g after %g", at, c.lastAt)
@@ -383,7 +383,10 @@ func (c *ShardedScheduler) deal() {
 	}
 	for i, sh := range c.shards {
 		sh.arrQ = slices.Grow(sh.arrQ, counts[i])
-		sh.presizeCompleted()
+		// Room for every pending completion record, so the completion
+		// path never regrows the slice mid-run (a thief shard that
+		// completes stolen jobs may still grow it).
+		sh.completed = slices.Grow(sh.completed, sh.pending)
 	}
 	for _, a := range c.arrs[c.dealt:] {
 		c.shards[a.shard].pushArrival(a.id, a.obs, a.at)
@@ -420,8 +423,7 @@ func (c *ShardedScheduler) BarrierStats() BarrierStats { return c.stats }
 //     is non-empty the loop falls back to exact barrier cadence.
 //
 // After the last event every shard is advanced to the global makespan
-// and closed out, so trailing idle energy is billed exactly as the
-// unsharded scheduler bills it.
+// and closed out, so every shard bills idle energy up to the same end.
 func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -815,15 +817,6 @@ func (c *ShardedScheduler) Phases() power.PhaseAccumulator {
 		p.CoJ += sp.CoJ
 	}
 	return p
-}
-
-// QueueLen sums the shard wait-queue lengths.
-func (c *ShardedScheduler) QueueLen() int {
-	n := 0
-	for _, sh := range c.shards {
-		n += sh.QueueLen()
-	}
-	return n
 }
 
 // SetFastAccrual toggles the O(1) aggregate accrual path on every

@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"testing"
@@ -33,7 +36,7 @@ type shardedResult struct {
 // the stream; every shard gets its own registry, tracer, and audit log,
 // and the tuner chain mirrors equivRun's (MemoSTP under MeteredSTP on
 // the shard's registry) so a 1-shard run is comparable byte for byte
-// with the unsharded scheduler.
+// with the recorded standalone exports (standaloneWS4).
 func runSharded(t *testing.T, nodes int, cfg ShardedConfig, submit func(c *ShardedScheduler)) shardedResult {
 	return runShardedMode(t, nodes, cfg, false, submit)
 }
@@ -112,17 +115,41 @@ func submitWS4(t *testing.T) func(c *ShardedScheduler) {
 	}
 }
 
+// standaloneWS4 reads the exports of equivRun's stream as the retired
+// standalone scheduler produced them — it profiled each job inside its
+// arrival event — committed under testdata/standalone: makespan and
+// energy bits, the deterministic metrics snapshot, the span timeline
+// and the decision JSONL.
+func standaloneWS4(t *testing.T) equivResult {
+	t.Helper()
+	read := func(name string) string {
+		b, err := os.ReadFile(filepath.Join("testdata", "standalone", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	var out equivResult
+	if _, err := fmt.Sscanf(read("ws4.bits.txt"), "makespan %x\nenergy %x\n", &out.makespan, &out.energy); err != nil {
+		t.Fatal(err)
+	}
+	out.snapshot = read("ws4.metrics.txt")
+	out.timeline = read("ws4.timeline.txt")
+	out.decisions = read("ws4.decisions.jsonl")
+	return out
+}
+
 // TestShardedSingleShardEquivalence is the acceptance golden: a 1-shard
-// sharded run must be byte-identical to the unsharded optimized
+// sharded run must be byte-identical to the recorded standalone
 // scheduler — makespan and energy bits, the deterministic metrics
 // snapshot, the span timeline, and the decision JSONL — at GOMAXPROCS
 // 1 and 4. The router profiles serially at submission instead of
 // inside arrival events, so this also proves the profiling-order
 // contract (nondecreasing arrivals ⇒ identical sampler draws).
 func TestShardedSingleShardEquivalence(t *testing.T) {
+	legacy := standaloneWS4(t)
 	for _, procs := range []int{1, 4} {
 		old := runtime.GOMAXPROCS(procs)
-		legacy := equivRun(t, false)
 		sharded := runSharded(t, 2, ShardedConfig{Shards: 1}, submitWS4(t))
 		runtime.GOMAXPROCS(old)
 		if sharded.makespan != legacy.makespan || sharded.energy != legacy.energy {
@@ -355,26 +382,21 @@ func TestFastAccrualGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(fast bool) (uint64, float64, [3]float64, []CompletedJob) {
-		eng := sim.NewEngine()
-		prof := NewProfiler(fix.model, sim.NewRNG(17))
-		s, err := NewOnlineScheduler(eng, fix.model, fix.db, NewMemoSTP(fix.lkt, nil), prof, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.SetFastAccrual(fast)
+		c, _ := newSolo(t, fix.db, NewMemoSTP(fix.lkt, nil), NewProfiler(fix.model, sim.NewRNG(17)), 64)
+		c.SetFastAccrual(fast)
 		rng := sim.NewRNG(18)
 		at := 0.0
 		for i := 0; i < 400; i++ {
 			j := wl.Jobs[i%len(wl.Jobs)]
-			s.Submit(j.App, j.SizeGB, at)
+			c.Submit(j.App, j.SizeGB, at)
 			at += rng.Exp(20)
 		}
-		mk, en, err := s.Run()
+		mk, en, err := c.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := s.Phases()
-		return math.Float64bits(mk), en, [3]float64{p.IdleJ, p.SoloJ, p.CoJ}, s.Completed()
+		p := c.Phases()
+		return math.Float64bits(mk), en, [3]float64{p.IdleJ, p.SoloJ, p.CoJ}, c.Completed()
 	}
 	mkA, enA, phA, compA := run(false)
 	mkB, enB, phB, compB := run(true)
@@ -406,15 +428,11 @@ func TestFastAccrualGolden(t *testing.T) {
 	}
 	// With attribution consumers attached the fast path must stand down
 	// (per-node walk required for span/audit energy shares).
-	eng := sim.NewEngine()
-	s, err := NewOnlineScheduler(eng, fix.model, fix.db, NewMemoSTP(fix.lkt, nil), NewProfiler(fix.model, sim.NewRNG(17)), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, s := newSolo(t, fix.db, NewMemoSTP(fix.lkt, nil), NewProfiler(fix.model, sim.NewRNG(17)), 4)
 	s.SetFastAccrual(true)
-	s.SetTracer(tracing.New(eng.Clock()))
-	s.Submit(wl.Jobs[0].App, 1, 0)
-	if _, _, err := s.Run(); err != nil {
+	s.SetTracer(tracing.New(s.Engine.Clock()))
+	c.Submit(wl.Jobs[0].App, 1, 0)
+	if _, _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if s.EnergyJ() <= 0 {
@@ -469,6 +487,9 @@ func TestShardedSubmitRejects(t *testing.T) {
 		{"infinite time", 5, math.Inf(1)},
 		{"negative time", 5, -1},
 		{"negative size", -3, 20},
+		{"zero size", 0, 20},
+		{"NaN size", math.NaN(), 20},
+		{"infinite size", math.Inf(1), 20},
 	} {
 		if err := c.Submit(app, bad.size, bad.at); err == nil {
 			t.Errorf("%s: Submit(size %v, at %v) accepted", bad.name, bad.size, bad.at)

@@ -22,7 +22,7 @@ import (
 // observability stack attached, the tracers wired through the control
 // plane's SetTracer fan-out (the CLI path). The registries and audit
 // logs mirror runSharded/equivRun so a 1-shard run is byte-comparable
-// with the legacy unsharded scheduler.
+// with the recorded standalone exports (standaloneWS4).
 func runShardedTraceSet(t *testing.T, nodes int, cfg ShardedConfig, submit func(c *ShardedScheduler)) (*ShardedScheduler, *tracing.ShardSet) {
 	t.Helper()
 	fixture(t)
@@ -63,36 +63,31 @@ func render(t *testing.T, write func(w *bytes.Buffer) error) string {
 
 // TestShardSetSingleShardLegacyEquivalence: with one shard, the
 // ShardSet's merged exports are byte-identical to the legacy unsharded
-// tracer's — the timeline matches the unsharded scheduler's run of the
-// same stream, and both ShardSet exporters delegate exactly to the
-// solo tracer.
+// tracer's — the timeline matches the recorded standalone run of the
+// same stream at GOMAXPROCS 1 and 4, and both ShardSet exporters
+// delegate exactly to the solo tracer.
 func TestShardSetSingleShardLegacyEquivalence(t *testing.T) {
-	legacy := equivRun(t, false)
-	submitWS4 := func(c *ShardedScheduler) {
-		wl, err := Scenario("WS4")
-		if err != nil {
-			t.Fatal(err)
+	legacy := standaloneWS4(t)
+	for _, procs := range []int{1, 4} {
+		old := runtime.GOMAXPROCS(procs)
+		c, ts := runShardedTraceSet(t, 2, ShardedConfig{Shards: 1}, submitWS4(t))
+		runtime.GOMAXPROCS(old)
+		if got := ts.Shards(); got != 1 {
+			t.Fatalf("SetTracer attached %d tracers, want 1", got)
 		}
-		for i, j := range wl.Jobs {
-			c.Submit(j.App, j.SizeGB, float64(i)*40)
+		if got := render(t, func(w *bytes.Buffer) error { return ts.WriteTimeline(w) }); got != legacy.timeline {
+			t.Fatalf("GOMAXPROCS=%d: 1-shard ShardSet timeline != legacy unsharded timeline:\n--- sharded ---\n%s\n--- legacy ---\n%s",
+				procs, got, legacy.timeline)
 		}
-	}
-	c, ts := runShardedTraceSet(t, 2, ShardedConfig{Shards: 1}, submitWS4)
-	if got := ts.Shards(); got != 1 {
-		t.Fatalf("SetTracer attached %d tracers, want 1", got)
-	}
-	if got := render(t, func(w *bytes.Buffer) error { return ts.WriteTimeline(w) }); got != legacy.timeline {
-		t.Fatalf("1-shard ShardSet timeline != legacy unsharded timeline:\n--- sharded ---\n%s\n--- legacy ---\n%s",
-			got, legacy.timeline)
-	}
-	solo := ts.Tracer(0)
-	if got, want := render(t, func(w *bytes.Buffer) error { return ts.WriteChromeTrace(w) }),
-		render(t, func(w *bytes.Buffer) error { return solo.WriteChromeTrace(w) }); got != want {
-		t.Fatal("1-shard ShardSet Chrome trace != solo tracer export")
-	}
-	rep := ts.Report()
-	if rel := relErr(rep.Phases.TotalJ(), c.EnergyJ()); rel > 1e-9 {
-		t.Fatalf("merged report energy %.6f != scheduler energy %.6f (rel %g)", rep.Phases.TotalJ(), c.EnergyJ(), rel)
+		solo := ts.Tracer(0)
+		if got, want := render(t, func(w *bytes.Buffer) error { return ts.WriteChromeTrace(w) }),
+			render(t, func(w *bytes.Buffer) error { return solo.WriteChromeTrace(w) }); got != want {
+			t.Fatal("1-shard ShardSet Chrome trace != solo tracer export")
+		}
+		rep := ts.Report()
+		if rel := relErr(rep.Phases.TotalJ(), c.EnergyJ()); rel > 1e-9 {
+			t.Fatalf("merged report energy %.6f != scheduler energy %.6f (rel %g)", rep.Phases.TotalJ(), c.EnergyJ(), rel)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 
@@ -131,55 +130,6 @@ func TestOnlineScenarioStats(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("table missing %q:\n%s", want, s)
 		}
-	}
-}
-
-// TestUtilizationCurve: sweeping the arrival tempo from idle to
-// saturation raises utilization monotonically (within measurement
-// slack) and keeps every point well-formed.
-func TestUtilizationCurve(t *testing.T) {
-	env := sharedEnv(t)
-	base := scenarioSpec(16)
-	tbl, points, err := UtilizationCurve(env, base, 2, []float64{2000, 400, 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("%d points, want 3", len(points))
-	}
-	for _, p := range points {
-		if p.Utilization <= 0 || p.Utilization > 1 {
-			t.Fatalf("gap %v: utilization %v outside (0, 1]", p.MeanGap, p.Utilization)
-		}
-		if p.EDP <= 0 {
-			t.Fatalf("gap %v: EDP %v", p.MeanGap, p.EDP)
-		}
-	}
-	// Faster arrivals pack the cluster tighter: the saturated end must
-	// clearly exceed the idle end.
-	if !(points[2].Utilization > points[0].Utilization) {
-		t.Fatalf("utilization did not rise with load: %v vs %v", points[2].Utilization, points[0].Utilization)
-	}
-	if !strings.Contains(tbl.String(), "Utilization vs. EDP") {
-		t.Errorf("table title missing:\n%s", tbl.String())
-	}
-}
-
-// TestUtilizationCurveFreshProfiler: every point starts from the same
-// profiler state, so two points at the same tempo are identical rows.
-// From the canonical profiler state this stream is long enough that
-// profiling noise moves the outcome: a profiler carried over from the
-// first point changes the second.
-func TestUtilizationCurveFreshProfiler(t *testing.T) {
-	tbl, points, err := UtilizationCurve(freshEnv(t), scenarioSpec(200), 1, []float64{400, 400})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if points[0] != points[1] {
-		t.Fatalf("same tempo, different points:\n%+v\n%+v", points[0], points[1])
-	}
-	if !slices.Equal(tbl.Rows[0], tbl.Rows[1]) {
-		t.Fatalf("same tempo, different rows:\n%v\n%v", tbl.Rows[0], tbl.Rows[1])
 	}
 }
 

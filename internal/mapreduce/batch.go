@@ -400,13 +400,6 @@ type Evaluator struct {
 // between calls behave exactly as they do with CoLocate.
 func (m *Model) NewEvaluator() *Evaluator { return &Evaluator{m: m} }
 
-// Pair is Model.Pair with buffer reuse; the returned outcome's Apps
-// slice is freshly allocated and safe to retain.
-func (e *Evaluator) Pair(a, b RunSpec) (CoOutcome, error) {
-	e.specs[0], e.specs[1] = a, b
-	return e.m.coLocateInto(e.specs[:], &e.s, make([]Outcome, 2))
-}
-
 // PairMetrics evaluates a pair and returns only the node-level scalars,
 // allocation-free after warm-up. The result is bit-identical to
 // Model.Pair(a, b).Metrics().

@@ -114,13 +114,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Add accumulates a delta.
-func (g *Gauge) Add(v float64) {
-	if g != nil {
-		g.v.add(v)
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {

@@ -2,8 +2,7 @@
 // reproduction, standing in for the Weka toolkit the paper uses. It
 // provides the three EDP predictors the paper studies — linear regression
 // (LR), a reduced-error-pruning regression tree (REPTree) and a
-// multilayer perceptron (MLP) — plus the lookup-table model (LkT), and
-// the analysis tools of §3.2: PCA (via a Jacobi eigensolver),
+// multilayer perceptron (MLP) — and the analysis tools of §3.2: PCA (via a Jacobi eigensolver),
 // agglomerative hierarchical clustering, and a k-nearest-neighbour
 // classifier.
 //
@@ -60,30 +59,6 @@ func APE(pred, truth float64) float64 {
 		return math.Inf(1)
 	}
 	return 100 * math.Abs(pred-truth) / math.Abs(truth)
-}
-
-// MAPE returns the mean APE over a prediction set.
-func MAPE(pred, truth []float64) float64 {
-	if len(pred) != len(truth) || len(pred) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for i := range pred {
-		s += APE(pred[i], truth[i])
-	}
-	return s / float64(len(pred))
-}
-
-// MAE returns the mean absolute error.
-func MAE(pred, truth []float64) float64 {
-	if len(pred) != len(truth) || len(pred) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for i := range pred {
-		s += math.Abs(pred[i] - truth[i])
-	}
-	return s / float64(len(pred))
 }
 
 // RMSE returns the root-mean-square error.

@@ -68,16 +68,10 @@ func TestAPE(t *testing.T) {
 func TestMetrics(t *testing.T) {
 	pred := []float64{1, 2, 3}
 	truth := []float64{2, 2, 2}
-	if got := MAE(pred, truth); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("MAE = %v", got)
-	}
 	if got := RMSE(pred, truth); math.Abs(got-math.Sqrt(2.0/3)) > 1e-12 {
 		t.Errorf("RMSE = %v", got)
 	}
-	if got := MAPE(pred, truth); math.Abs(got-100.0/3) > 1e-9 {
-		t.Errorf("MAPE = %v", got)
-	}
-	if !math.IsNaN(MAE(nil, nil)) || !math.IsNaN(MAPE([]float64{1}, []float64{1, 2})) {
+	if !math.IsNaN(RMSE(nil, nil)) || !math.IsNaN(RMSE([]float64{1}, []float64{1, 2})) {
 		t.Error("degenerate inputs should be NaN")
 	}
 }
@@ -273,30 +267,6 @@ func TestMLPUntrainedPredictsZero(t *testing.T) {
 	}
 }
 
-func TestLookupTableExactRecall(t *testing.T) {
-	X := [][]float64{{0, 0}, {10, 0}, {0, 10}, {10, 10}}
-	y := []float64{1, 2, 3, 4}
-	lkt := NewLookupTable()
-	if err := lkt.Train(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if lkt.Len() != 4 {
-		t.Fatalf("table size %d", lkt.Len())
-	}
-	for i, x := range X {
-		if got := lkt.Predict(x); got != y[i] {
-			t.Errorf("exact recall failed at %v: %v", x, got)
-		}
-	}
-	// Nearest-neighbour behaviour off-grid.
-	if got := lkt.Predict([]float64{9, 9}); got != 4 {
-		t.Errorf("Predict(9,9) = %v, want 4", got)
-	}
-	if got := lkt.Predict([]float64{1, 1}); got != 1 {
-		t.Errorf("Predict(1,1) = %v, want 1", got)
-	}
-}
-
 func TestKNNClassifier(t *testing.T) {
 	var X [][]float64
 	var labels []int
@@ -395,13 +365,6 @@ func TestPCAProjectShape(t *testing.T) {
 	p, err := FitPCA(X)
 	if err != nil {
 		t.Fatal(err)
-	}
-	pr := p.Project(X[0], 2)
-	if len(pr) != 2 {
-		t.Fatalf("projection length %d", len(pr))
-	}
-	if got := p.Project(X[0], 99); len(got) != 2 {
-		t.Fatalf("k beyond components not clamped: %d", len(got))
 	}
 	if l := p.Loadings(2); len(l) != 2 || len(l[0]) != 2 {
 		t.Fatalf("loadings shape wrong: %v", l)

@@ -107,25 +107,6 @@ func (p *PCA) ExplainedVariance(k int) float64 {
 	return head / total
 }
 
-// Project maps an observation onto the first k principal components.
-func (p *PCA) Project(x []float64, k int) []float64 {
-	z := p.scaler.Transform(x)
-	if k > len(p.Components) {
-		k = len(p.Components)
-	}
-	out := make([]float64, k)
-	for c := 0; c < k; c++ {
-		var s float64
-		for i, v := range z {
-			if i < len(p.Components[c]) {
-				s += v * p.Components[c][i]
-			}
-		}
-		out[c] = s
-	}
-	return out
-}
-
 // Loadings returns each original feature's coordinates in the first k
 // components — the scatter the paper plots in Figure 1 (features close
 // together behave similarly). Row i corresponds to feature i.

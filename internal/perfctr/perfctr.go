@@ -76,9 +76,6 @@ func pmuMetric(m Metric) bool { return m >= IPC && m <= BranchMiss }
 // Vector is one application's feature vector over the 14 metrics.
 type Vector [NumMetrics]float64
 
-// Get returns the value of metric m.
-func (v Vector) Get(m Metric) float64 { return v[m] }
-
 // Slice returns the vector as a fresh []float64 for the ML package.
 func (v Vector) Slice() []float64 {
 	out := make([]float64, NumMetrics)
@@ -175,12 +172,6 @@ func exact(p workloads.Profile, t Telemetry) Vector {
 	return v
 }
 
-// Measure returns the feature vector for one run, with measurement noise
-// and single-run PMU multiplexing error applied.
-func (s *Sampler) Measure(p workloads.Profile, t Telemetry) Vector {
-	return s.measure(p, t, 1)
-}
-
 // MeasureAveraged models the paper's methodology of running a workload
 // `runs` times and averaging the multiplexed counter readings; noise on
 // PMU metrics shrinks as 1/√runs.
@@ -188,10 +179,6 @@ func (s *Sampler) MeasureAveraged(p workloads.Profile, t Telemetry, runs int) Ve
 	if runs < 1 {
 		runs = 1
 	}
-	return s.measure(p, t, runs)
-}
-
-func (s *Sampler) measure(p workloads.Profile, t Telemetry, runs int) Vector {
 	v := exact(p, t)
 	scale := 1.0 / math.Sqrt(float64(runs))
 	for m := Metric(0); m < NumMetrics; m++ {

@@ -56,29 +56,29 @@ func TestExactVector(t *testing.T) {
 	p := workloads.MustByName("wc").Profile
 	tl := sampleTelemetry()
 	v := Exact(p, tl)
-	if got := v.Get(CPUUser); got != 60 {
+	if got := v[CPUUser]; got != 60 {
 		t.Errorf("CPUuser = %v, want 60", got)
 	}
-	if got := v.Get(CPUIOWait); got != 20 {
+	if got := v[CPUIOWait]; got != 20 {
 		t.Errorf("CPUiowait = %v, want 20", got)
 	}
-	if got := v.Get(IOReadMBps); got != 50 {
+	if got := v[IOReadMBps]; got != 50 {
 		t.Errorf("IORead = %v, want 50", got)
 	}
-	if got := v.Get(IOWriteMBps); got != 10 {
+	if got := v[IOWriteMBps]; got != 10 {
 		t.Errorf("IOWrite = %v, want 10", got)
 	}
-	if got := v.Get(IPC); got != 0.9 {
+	if got := v[IPC]; got != 0.9 {
 		t.Errorf("IPC = %v, want 0.9", got)
 	}
-	if got := v.Get(LLCMPKI); got != 5 {
+	if got := v[LLCMPKI]; got != 5 {
 		t.Errorf("LLCMPKI = %v, want 5", got)
 	}
-	if got := v.Get(ICacheMPKI); got != p.ICacheMPKI {
+	if got := v[ICacheMPKI]; got != p.ICacheMPKI {
 		t.Errorf("ICacheMPKI = %v, want %v", got, p.ICacheMPKI)
 	}
 	// CPU shares must not exceed 100%.
-	sum := v.Get(CPUUser) + v.Get(CPUSystem) + v.Get(CPUIdle) + v.Get(CPUIOWait)
+	sum := v[CPUUser] + v[CPUSystem] + v[CPUIdle] + v[CPUIOWait]
 	if sum > 100+1e-9 {
 		t.Errorf("CPU shares sum to %v > 100", sum)
 	}
@@ -94,7 +94,7 @@ func TestMeasureNoisyButUnbiased(t *testing.T) {
 	identical := true
 	var first Vector
 	for i := 0; i < n; i++ {
-		v := s.Measure(p, tl)
+		v := s.MeasureAveraged(p, tl, 1)
 		if i == 0 {
 			first = v
 		} else if v != first {
@@ -148,7 +148,7 @@ func TestPMUMetricsNoisierThanOSMetrics(t *testing.T) {
 	n := 4000
 	var sqIPC, sqUser float64
 	for i := 0; i < n; i++ {
-		v := s.Measure(p, tl)
+		v := s.MeasureAveraged(p, tl, 1)
 		dI := (v[IPC] - exact[IPC]) / exact[IPC]
 		dU := (v[CPUUser] - exact[CPUUser]) / exact[CPUUser]
 		sqIPC += dI * dI
@@ -164,7 +164,7 @@ func TestMeasureNonNegative(t *testing.T) {
 	tl := sampleTelemetry()
 	s := NewSampler(sim.NewRNG(11))
 	for i := 0; i < 1000; i++ {
-		v := s.Measure(p, tl)
+		v := s.MeasureAveraged(p, tl, 1)
 		for m := Metric(0); m < NumMetrics; m++ {
 			if v[m] < 0 {
 				t.Fatalf("negative reading %v = %v", m, v[m])

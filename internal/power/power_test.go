@@ -10,13 +10,16 @@ import (
 
 func spec() cluster.NodeSpec { return cluster.AtomC2758() }
 
+// activePower is the activity power above idle — the quantity the
+// paper reports after subtracting system idle power.
+func activePower(s cluster.NodeSpec, act Activity) float64 {
+	return NodePower(s, act) - s.IdleWatts
+}
+
 func TestIdleNodePower(t *testing.T) {
 	s := spec()
 	if got := NodePower(s, Activity{}); got != s.IdleWatts {
 		t.Fatalf("idle power = %v, want %v", got, s.IdleWatts)
-	}
-	if got := CorePower(s, Activity{}); got != 0 {
-		t.Fatalf("idle core power = %v, want 0", got)
 	}
 }
 
@@ -37,7 +40,7 @@ func TestPowerSuperlinearInFrequency(t *testing.T) {
 	// the EDP race-to-idle tradeoff in the paper exists.
 	s := spec()
 	dyn := func(f cluster.FreqGHz) float64 {
-		return CorePower(s, Activity{Loads: []CoreLoad{{Cores: 8, Freq: f, Util: 1}}})
+		return activePower(s, Activity{Loads: []CoreLoad{{Cores: 8, Freq: f, Util: 1}}})
 	}
 	lo, hi := dyn(cluster.Freq1200), dyn(cluster.Freq2400)
 	if ratio := hi / lo; ratio <= 2.0 {
@@ -47,12 +50,12 @@ func TestPowerSuperlinearInFrequency(t *testing.T) {
 
 func TestPowerScalesWithCoresAndUtil(t *testing.T) {
 	s := spec()
-	one := CorePower(s, Activity{Loads: []CoreLoad{{Cores: 1, Freq: cluster.MaxFreq, Util: 1}}})
-	eight := CorePower(s, Activity{Loads: []CoreLoad{{Cores: 8, Freq: cluster.MaxFreq, Util: 1}}})
+	one := activePower(s, Activity{Loads: []CoreLoad{{Cores: 1, Freq: cluster.MaxFreq, Util: 1}}})
+	eight := activePower(s, Activity{Loads: []CoreLoad{{Cores: 8, Freq: cluster.MaxFreq, Util: 1}}})
 	if math.Abs(eight-8*one) > 1e-9 {
 		t.Fatalf("core power not linear in cores: 1→%v, 8→%v", one, eight)
 	}
-	half := CorePower(s, Activity{Loads: []CoreLoad{{Cores: 8, Freq: cluster.MaxFreq, Util: 0.5}}})
+	half := activePower(s, Activity{Loads: []CoreLoad{{Cores: 8, Freq: cluster.MaxFreq, Util: 0.5}}})
 	if math.Abs(half-eight/2) > 1e-9 {
 		t.Fatalf("core power not linear in util: %v vs %v/2", half, eight)
 	}
@@ -100,78 +103,13 @@ func TestEDP(t *testing.T) {
 	if got := EDP(100, 10); got != 1000 {
 		t.Fatalf("EDP(100,10) = %v", got)
 	}
-	if got := EDPFromPower(20, 10); got != 2000 {
-		t.Fatalf("EDPFromPower(20,10) = %v", got)
-	}
-	// P·T² identity: EDP(P·T, T) == EDPFromPower(P, T).
+	// P·T² identity: a run at constant power P for T seconds.
 	f := func(p, tt float64) bool {
 		p = math.Mod(math.Abs(p), 1e3) + 0.1
 		tt = math.Mod(math.Abs(tt), 1e5) + 0.1
-		return math.Abs(EDP(p*tt, tt)-EDPFromPower(p, tt)) < 1e-6*EDPFromPower(p, tt)
+		return math.Abs(EDP(p*tt, tt)-p*tt*tt) < 1e-6*p*tt*tt
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMeterEnergy(t *testing.T) {
-	m := NewMeter(1)
-	m.Observe(20, 10) // 200 J
-	m.Observe(30, 5)  // 150 J
-	if got := m.EnergyJoules(); math.Abs(got-350) > 1e-9 {
-		t.Fatalf("energy = %v, want 350", got)
-	}
-	if got := m.Duration(); got != 15 {
-		t.Fatalf("duration = %v, want 15", got)
-	}
-	if got := m.AveragePower(); math.Abs(got-350.0/15) > 1e-9 {
-		t.Fatalf("avg power = %v", got)
-	}
-}
-
-func TestMeterSamples(t *testing.T) {
-	m := NewMeter(1)
-	m.Observe(20, 3.5)
-	m.Observe(40, 2.5)
-	samples := m.Samples()
-	if len(samples) != 6 {
-		t.Fatalf("got %d samples, want 6: %v", len(samples), samples)
-	}
-	wantW := []float64{20, 20, 20, 40, 40, 40}
-	for i, s := range samples {
-		if s.Watts != wantW[i] {
-			t.Fatalf("sample %d = %v, want %vW", i, s, wantW[i])
-		}
-	}
-}
-
-func TestMeteredEnergyCloseToExact(t *testing.T) {
-	m := NewMeter(1)
-	m.Observe(17, 100.3)
-	m.Observe(25, 200.7)
-	exact := m.EnergyJoules()
-	metered := m.MeteredEnergy()
-	if rel := math.Abs(metered-exact) / exact; rel > 0.02 {
-		t.Fatalf("metered %v vs exact %v (rel err %v)", metered, exact, rel)
-	}
-}
-
-func TestMeterIgnoresBogusSegments(t *testing.T) {
-	m := NewMeter(1)
-	m.Observe(20, 0)
-	m.Observe(20, -5)
-	if m.Duration() != 0 || len(m.Samples()) != 0 {
-		t.Fatal("bogus segments were recorded")
-	}
-	if m.AveragePower() != 0 {
-		t.Fatal("empty meter average power not 0")
-	}
-}
-
-func TestMeterDefaultResolution(t *testing.T) {
-	m := NewMeter(0)
-	m.Observe(10, 2)
-	if len(m.Samples()) != 2 {
-		t.Fatalf("default resolution broken: %v", m.Samples())
 	}
 }

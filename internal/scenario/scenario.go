@@ -19,6 +19,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	"ecost/internal/core"
 	"ecost/internal/sim"
@@ -113,6 +114,9 @@ func Generate(spec Spec) ([]trace.Arrival, error) {
 func FromWorkload(wl core.Workload, n int, meanInterarrival float64, seed int64) ([]trace.Arrival, error) {
 	if len(wl.Jobs) == 0 {
 		return nil, specErrf("mix", "workload %q has no jobs to cycle", wl.Name)
+	}
+	if meanInterarrival < 0 || math.IsNaN(meanInterarrival) || math.IsInf(meanInterarrival, 0) {
+		return nil, specErrf("arrivals", "mean inter-arrival %g must be finite and non-negative", meanInterarrival)
 	}
 	if n <= 0 {
 		n = len(wl.Jobs)

@@ -3,6 +3,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -210,6 +211,22 @@ func TestFromWorkloadMatchesLegacyCycling(t *testing.T) {
 		if render(got) != render(want) {
 			t.Fatalf("jobs=%d arrival=%v seed=%d: scenario cycle stream diverged from the legacy loop",
 				c.jobs, c.arrival, c.seed)
+		}
+	}
+}
+
+// TestFromWorkloadRejectsBadArrival: a negative or non-finite mean gap
+// is a *SpecError, not a stream of jobs all at t=0.
+func TestFromWorkloadRejectsBadArrival(t *testing.T) {
+	wl, err := core.Scenario("WS4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gap := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		arrivals, err := FromWorkload(wl, 0, gap, 42)
+		var se *SpecError
+		if !errors.As(err, &se) || se.Field != "arrivals" {
+			t.Fatalf("FromWorkload(arrival %v) = %d arrivals, err %v; want an arrivals *SpecError", gap, len(arrivals), err)
 		}
 	}
 }

@@ -217,9 +217,9 @@ func (e *Engine) NextAt() (float64, bool) {
 
 // RunThrough fires every event with a timestamp at or before t, in
 // (At, seq) order, and stops without advancing the clock past the last
-// fired event. Unlike Run(horizon) it never moves the clock to t when
-// no event lands exactly there — shards that sit out an epoch keep
-// their own clock, so per-shard accrual intervals stay exactly the
+// fired event. It never moves the clock to t when no event lands
+// exactly there (AdvanceTo does that) — shards that sit out an epoch
+// keep their own clock, so per-shard accrual intervals stay exactly the
 // intervals their own events delimit.
 func (e *Engine) RunThrough(t float64) {
 	for len(e.events) > 0 && e.events[0].At <= t {
@@ -270,17 +270,4 @@ func (e *Engine) Step() bool {
 	ev.Fire = nil
 	e.free = append(e.free, ev)
 	return true
-}
-
-// Run fires events until none remain or the clock passes horizon
-// (horizon <= 0 means no limit). It returns the final clock value.
-func (e *Engine) Run(horizon float64) float64 {
-	for len(e.events) > 0 {
-		if horizon > 0 && e.events[0].At > horizon {
-			e.now = horizon
-			break
-		}
-		e.Step()
-	}
-	return e.now
 }

@@ -73,5 +73,3 @@ func (g *RNG) Exp(mean float64) float64 {
 // Perm returns a deterministic pseudo-random permutation of [0,n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
-// Shuffle permutes the slice with the supplied swap function.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }

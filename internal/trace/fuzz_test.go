@@ -70,15 +70,6 @@ func FuzzGenerate(f *testing.F) {
 				t.Fatalf("arrival %d size %v outside %v", i, a.SizeGB, spec.Sizes)
 			}
 		}
-		// The published metrics must agree with the trace itself.
-		counts := ClassCounts(tr)
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		if total != len(tr) {
-			t.Fatalf("ClassCounts sums to %d over %d arrivals", total, len(tr))
-		}
 	})
 }
 
@@ -101,7 +92,7 @@ func TestRecordPublishesShape(t *testing.T) {
 		t.Errorf("trace.jobs = %v, want 40", gauges["trace.jobs"])
 	}
 
-	counts := ClassCounts(tr)
+	counts := classCounts(tr)
 	counters := map[string]int64{}
 	for _, c := range snap.Counters {
 		counters[c.Name] = c.Value
@@ -146,24 +137,5 @@ func TestRecordNilAndEmpty(t *testing.T) {
 	snap := reg.Snapshot(false)
 	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Histograms) != 0 {
 		t.Errorf("empty trace populated the registry: %+v", snap)
-	}
-}
-
-func TestClassCounts(t *testing.T) {
-	if got := ClassCounts(nil); len(got) != 0 {
-		t.Errorf("ClassCounts(nil) = %v", got)
-	}
-	apps := workloads.Apps()
-	tr := []Arrival{{App: apps[0]}, {App: apps[0]}, {App: apps[len(apps)-1]}}
-	counts := ClassCounts(tr)
-	if counts[apps[0].Class] < 2 {
-		t.Errorf("counts = %v, want ≥2 for class %v", counts, apps[0].Class)
-	}
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	if total != 3 {
-		t.Errorf("counts sum to %d, want 3", total)
 	}
 }

@@ -147,12 +147,3 @@ func Record(tr []Arrival, reg *metrics.Registry) {
 		gaps.Observe(tr[i].At - tr[i-1].At)
 	}
 }
-
-// ClassCounts tallies arrivals per class — used by tests and reports.
-func ClassCounts(tr []Arrival) map[workloads.Class]int {
-	out := map[workloads.Class]int{}
-	for _, a := range tr {
-		out[a.App.Class]++
-	}
-	return out
-}

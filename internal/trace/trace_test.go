@@ -85,6 +85,15 @@ func TestGenerateFixedInterarrival(t *testing.T) {
 	}
 }
 
+// classCounts tallies arrivals per class.
+func classCounts(tr []Arrival) map[workloads.Class]int {
+	out := map[workloads.Class]int{}
+	for _, a := range tr {
+		out[a.App.Class]++
+	}
+	return out
+}
+
 func TestGenerateClassMix(t *testing.T) {
 	tr, err := Generate(Spec{
 		N:    400,
@@ -94,7 +103,7 @@ func TestGenerateClassMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := ClassCounts(tr)
+	counts := classCounts(tr)
 	if counts[workloads.Hybrid] != 0 || counts[workloads.MemBound] != 0 {
 		t.Fatalf("unselected classes drawn: %v", counts)
 	}

@@ -50,21 +50,6 @@ func (c Class) String() string {
 // Classes lists the behaviour classes in the paper's canonical order.
 func Classes() []Class { return []Class{Compute, Hybrid, IOBound, MemBound} }
 
-// ParseClass converts a single-letter code to a Class.
-func ParseClass(s string) (Class, error) {
-	switch s {
-	case "C":
-		return Compute, nil
-	case "H":
-		return Hybrid, nil
-	case "I":
-		return IOBound, nil
-	case "M":
-		return MemBound, nil
-	}
-	return 0, fmt.Errorf("workloads: unknown class %q (want C, H, I or M)", s)
-}
-
 // Profile captures the per-application constants the models consume.
 // They correspond to observables of the real system:
 //
@@ -283,31 +268,6 @@ func Testing() []App {
 	return out
 }
 
-// OfClass returns all applications of the given class.
-func OfClass(c Class) []App {
-	var out []App
-	for _, a := range apps {
-		if a.Class == c {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // DataSizesGB lists the studied per-node input data sizes: 1, 5 and
 // 10 GB, representing small, medium and large datasets.
 func DataSizesGB() []float64 { return []float64{1, 5, 10} }
-
-// SizeLabel names a studied data size (small/medium/large).
-func SizeLabel(gb float64) string {
-	switch gb {
-	case 1:
-		return "small"
-	case 5:
-		return "medium"
-	case 10:
-		return "large"
-	default:
-		return fmt.Sprintf("%gGB", gb)
-	}
-}

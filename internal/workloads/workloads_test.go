@@ -83,21 +83,6 @@ func TestMustByNamePanics(t *testing.T) {
 	MustByName("bogus")
 }
 
-func TestOfClassPartition(t *testing.T) {
-	total := 0
-	for _, c := range Classes() {
-		for _, a := range OfClass(c) {
-			if a.Class != c {
-				t.Errorf("OfClass(%v) returned %s of class %v", c, a.Name, a.Class)
-			}
-			total++
-		}
-	}
-	if total != 11 {
-		t.Fatalf("classes partition %d apps, want 11", total)
-	}
-}
-
 func TestProfilesPlausible(t *testing.T) {
 	for _, a := range Apps() {
 		p := a.Profile
@@ -113,18 +98,29 @@ func TestProfilesPlausible(t *testing.T) {
 	}
 }
 
+// ofClass returns every application of class c.
+func ofClass(c Class) []App {
+	var out []App
+	for _, a := range Apps() {
+		if a.Class == c {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 func TestClassProfileSeparation(t *testing.T) {
 	// Memory-bound applications must have markedly higher LLC MPKI and
 	// memory bandwidth demand than compute-bound ones, and the I/O-bound
 	// application must move the most bytes per instruction — otherwise
 	// the classifier cannot separate them the way the paper reports.
 	var maxC, minM float64 = 0, 1e9
-	for _, a := range OfClass(Compute) {
+	for _, a := range ofClass(Compute) {
 		if a.Profile.LLCMPKI > maxC {
 			maxC = a.Profile.LLCMPKI
 		}
 	}
-	for _, a := range OfClass(MemBound) {
+	for _, a := range ofClass(MemBound) {
 		if a.Profile.LLCMPKI < minM {
 			minM = a.Profile.LLCMPKI
 		}
@@ -145,28 +141,10 @@ func TestClassProfileSeparation(t *testing.T) {
 	}
 }
 
-func TestParseClass(t *testing.T) {
-	for _, c := range Classes() {
-		got, err := ParseClass(c.String())
-		if err != nil || got != c {
-			t.Errorf("ParseClass(%q) = %v, %v", c.String(), got, err)
-		}
-	}
-	if _, err := ParseClass("X"); err == nil {
-		t.Error("ParseClass(X) succeeded")
-	}
-}
-
 func TestDataSizes(t *testing.T) {
 	sizes := DataSizesGB()
 	if len(sizes) != 3 || sizes[0] != 1 || sizes[1] != 5 || sizes[2] != 10 {
 		t.Fatalf("DataSizesGB() = %v", sizes)
-	}
-	if SizeLabel(1) != "small" || SizeLabel(5) != "medium" || SizeLabel(10) != "large" {
-		t.Error("size labels wrong")
-	}
-	if SizeLabel(2) != "2GB" {
-		t.Errorf("SizeLabel(2) = %q", SizeLabel(2))
 	}
 }
 
