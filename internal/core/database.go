@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"ecost/internal/mapreduce"
 	"ecost/internal/workloads"
@@ -93,21 +92,17 @@ type BuildOptions struct {
 	// generating ML training rows: every stride-th configuration is
 	// evaluated (1 = all 11,200 per pair). Larger strides build faster.
 	ConfigStride int
-	// Workers sizes the pair-level worker pool (0 = GOMAXPROCS). Results
-	// merge in canonical pair order, so every worker count — including 1,
-	// the serial build — produces an identical database.
-	Workers int
 }
 
 // BuildDatabase profiles the training applications, runs the COLAO
 // search for every known pair and size combination, and assembles the
 // per-class-pair training matrices.
 //
-// Pair jobs fan out over a worker pool (each worker sweeps the joint
+// Pair jobs fan out over forEach (each worker sweeps the joint
 // configuration space through a reused evaluator); results merge back
 // in canonical (i, j) pair order, so the entries, the training rows and
 // everything trained from them are byte-identical to a serial build at
-// any worker count.
+// any GOMAXPROCS.
 func BuildDatabase(profiler *Profiler, oracle *Oracle, training []workloads.App, opt BuildOptions) (*Database, error) {
 	if len(training) == 0 {
 		return nil, fmt.Errorf("core: database: no training applications")
@@ -156,33 +151,13 @@ func BuildDatabase(profiler *Profiler, oracle *Oracle, training []workloads.App,
 		err   error
 	}
 	results := make([]pairResult, len(jobs))
-
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ev := oracle.Model.NewEvaluator()
-			for {
-				n := int(next.Add(1)) - 1
-				if n >= len(jobs) {
-					return
-				}
-				a, b := obs[jobs[n].i], obs[jobs[n].j]
-				entry, cp, rows, err := buildPair(oracle, ev, a, b, opt.ConfigStride)
-				results[n] = pairResult{entry: entry, cp: cp, rows: rows, err: err}
-			}
-		}()
-	}
-	wg.Wait()
+	forEach(len(jobs), func() func(int) {
+		ev := oracle.Model.NewEvaluator()
+		return func(n int) {
+			entry, cp, rows, err := buildPair(oracle, ev, obs[jobs[n].i], obs[jobs[n].j], opt.ConfigStride)
+			results[n] = pairResult{entry: entry, cp: cp, rows: rows, err: err}
+		}
+	})
 
 	// Deterministic merge: canonical (i, j) order, exactly the serial
 	// loop's append order.
@@ -322,31 +297,13 @@ func (db *Database) RebuildRows(opt BuildOptions) error {
 		err  error
 	}
 	results := make([]rowResult, len(jobs))
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ev := db.oracle.Model.NewEvaluator()
-			for {
-				n := int(next.Add(1)) - 1
-				if n >= len(jobs) {
-					return
-				}
-				cp, rows, err := pairRows(db.oracle, ev, obs[jobs[n].i], obs[jobs[n].j], opt.ConfigStride)
-				results[n] = rowResult{cp: cp, rows: rows, err: err}
-			}
-		}()
-	}
-	wg.Wait()
+	forEach(len(jobs), func() func(int) {
+		ev := db.oracle.Model.NewEvaluator()
+		return func(n int) {
+			cp, rows, err := pairRows(db.oracle, ev, obs[jobs[n].i], obs[jobs[n].j], opt.ConfigStride)
+			results[n] = rowResult{cp: cp, rows: rows, err: err}
+		}
+	})
 	rowsByPair := make(map[ClassPair][]TrainRow)
 	for n := range results {
 		if results[n].err != nil {
@@ -446,31 +403,19 @@ func (db *Database) scanEntries(na, nb Observation) (direct, reverse int) {
 		return d, r
 	}
 	n := len(db.Entries)
-	workers := runtime.GOMAXPROCS(0)
-	if workers <= 1 || n < lookupParallelMin {
+	chunks := runtime.GOMAXPROCS(0)
+	if chunks <= 1 || n < lookupParallelMin {
 		return match(0, n)
 	}
 	type span struct{ d, r int }
-	results := make([]span, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			results[w] = span{-1, -1}
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			d, r := match(lo, hi)
+	results := make([]span, chunks)
+	chunk := (n + chunks - 1) / chunks
+	forEach(chunks, func() func(int) {
+		return func(w int) {
+			d, r := match(min(w*chunk, n), min((w+1)*chunk, n))
 			results[w] = span{d, r}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 	direct, reverse = -1, -1
 	for _, s := range results {
 		if s.d >= 0 && (direct < 0 || s.d < direct) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
-	"runtime"
 	"sync"
 
 	"ecost/internal/mapreduce"
@@ -227,72 +226,47 @@ func (o *Oracle) COLAO(a workloads.App, dataA float64, b workloads.App, dataB fl
 }
 
 // searchPairChunk is the batch granularity of the COLAO scan: small
-// enough that per-worker metric buffers stay cache-resident, large
+// enough that a worker's metric buffer stays cache-resident, large
 // enough to amortize the loop bookkeeping.
 const searchPairChunk = 512
 
-// searchPair scans the 11,200-point joint configuration space with a
-// pool of worker goroutines (the execution model is pure, so the scan is
-// embarrassingly parallel). Each worker sweeps its chunks through a
-// reused Evaluator via PairBatch — zero allocations per configuration —
-// and keeps its chunk's argmin; the merge breaks EDP ties by
-// configuration index, so the result is bit-identical to the serial
-// scan regardless of worker count.
+// searchPair scans the 11,200-point joint configuration space in
+// searchPairChunk-sized chunks over forEach (the execution model is
+// pure, so the scan is embarrassingly parallel). Each worker sweeps its
+// chunks through a reused Evaluator via PairBatch — zero allocations per
+// configuration — and keeps each chunk's argmin; the merge walks the
+// chunks in index order and breaks EDP ties by configuration index, so
+// the result is bit-identical to the serial scan at any GOMAXPROCS.
 func (o *Oracle) searchPair(a workloads.App, dataA float64, b workloads.App, dataB float64) (PairBest, error) {
 	pcs := mapreduce.PairConfigsCached(o.Model.Spec.Cores)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pcs) {
-		workers = len(pcs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	type localBest struct {
 		idx  int
 		err  error
 		edp  float64
 		seen bool
 	}
-	results := make([]localBest, workers)
-	var wg sync.WaitGroup
-	chunk := (len(pcs) + workers - 1) / workers
+	results := make([]localBest, (len(pcs)+searchPairChunk-1)/searchPairChunk)
 	specA := mapreduce.RunSpec{App: a, DataMB: dataA}
 	specB := mapreduce.RunSpec{App: b, DataMB: dataB}
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(pcs) {
-			hi = len(pcs)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			ev := o.Model.NewEvaluator()
+	forEach(len(results), func() func(int) {
+		ev := o.Model.NewEvaluator()
+		return func(c int) {
 			var buf [searchPairChunk]mapreduce.CoMetrics
+			start := c * searchPairChunk
+			out := buf[:min(len(pcs)-start, searchPairChunk)]
+			if err := ev.PairBatch(specA, specB, pcs[start:start+len(out)], out); err != nil {
+				results[c] = localBest{err: err}
+				return
+			}
 			lb := localBest{edp: math.Inf(1)}
-			for start := lo; start < hi; start += searchPairChunk {
-				end := start + searchPairChunk
-				if end > hi {
-					end = hi
-				}
-				out := buf[:end-start]
-				if err := ev.PairBatch(specA, specB, pcs[start:end], out); err != nil {
-					lb.err = err
-					break
-				}
-				for j, cm := range out {
-					if cm.EDP < lb.edp {
-						lb = localBest{idx: start + j, edp: cm.EDP, seen: true}
-					}
+			for j, cm := range out {
+				if cm.EDP < lb.edp {
+					lb = localBest{idx: start + j, edp: cm.EDP, seen: true}
 				}
 			}
-			results[w] = lb
-		}(w, lo, hi)
-	}
-	wg.Wait()
+			results[c] = lb
+		}
+	})
 	merged := localBest{edp: math.Inf(1)}
 	for _, lb := range results {
 		if lb.err != nil {

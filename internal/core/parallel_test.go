@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"regexp"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"ecost/internal/cluster"
@@ -14,20 +15,21 @@ import (
 	"ecost/internal/workloads"
 )
 
-// buildAt constructs a fresh database with the given worker count,
-// holding everything else (profiler seed, sizes, stride) fixed.
-func buildAt(t *testing.T, workers int) *Database {
+// buildAt constructs a fresh database at the given GOMAXPROCS, holding
+// everything else (profiler seed, sizes, stride) fixed.
+func buildAt(t *testing.T, procs int) *Database {
 	t.Helper()
+	prev := runtime.GOMAXPROCS(procs)
+	defer runtime.GOMAXPROCS(prev)
 	model := mapreduce.NewModel(cluster.AtomC2758())
 	oracle := NewOracle(model)
 	profiler := NewProfiler(model, sim.NewRNG(42))
 	db, err := BuildDatabase(profiler, oracle, workloads.Training(), BuildOptions{
 		Sizes:        []float64{1, 5},
 		ConfigStride: 13,
-		Workers:      workers,
 	})
 	if err != nil {
-		t.Fatalf("build (workers=%d): %v", workers, err)
+		t.Fatalf("build (GOMAXPROCS=%d): %v", procs, err)
 	}
 	return db
 }
@@ -57,22 +59,18 @@ func modelBytes(t *testing.T, db *Database) []byte {
 }
 
 // TestParallelBuildMatchesSerial is the determinism contract for the
-// worker-pool database build: any worker count — and any GOMAXPROCS —
-// must produce byte-identical entries, training rows, and trained
-// models. The merge happens in canonical job order and every evaluation
-// is a pure function of its inputs, so the schedule cannot leak into
-// the output.
+// fanned-out database build: any GOMAXPROCS must produce byte-identical
+// entries, training rows, and trained models. The merge happens in
+// canonical job order and every evaluation is a pure function of its
+// inputs, so the schedule cannot leak into the output.
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: serial-vs-parallel build is a full double build")
 	}
 	serial := buildAt(t, 1)
 	serialBytes := modelBytes(t, serial)
-	for _, procs := range []int{1, 4} {
-		prev := runtime.GOMAXPROCS(procs)
-		parallel := buildAt(t, 4)
-		runtime.GOMAXPROCS(prev)
-
+	for _, procs := range []int{2, 4} {
+		parallel := buildAt(t, procs)
 		if !reflect.DeepEqual(serial.Entries, parallel.Entries) {
 			t.Fatalf("GOMAXPROCS=%d: parallel entries diverge from serial build", procs)
 		}
@@ -87,6 +85,32 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 		if got := modelBytes(t, parallel); !bytes.Equal(serialBytes, got) {
 			t.Fatalf("GOMAXPROCS=%d: trained LR model bytes diverge from serial build", procs)
 		}
+	}
+}
+
+// TestForEach pins the fan-out contract every offline scan relies on:
+// each index runs exactly once, and newWorker runs at most
+// min(GOMAXPROCS, n) times — never for an empty range.
+func TestForEach(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 2, 7, 1000} {
+			runs := make([]atomic.Int32, n)
+			var workers atomic.Int32
+			forEach(n, func() func(int) {
+				workers.Add(1)
+				return func(i int) { runs[i].Add(1) }
+			})
+			for i := range runs {
+				if got := runs[i].Load(); got != 1 {
+					t.Errorf("GOMAXPROCS=%d n=%d: index %d ran %d times", procs, n, i, got)
+				}
+			}
+			if got, limit := int(workers.Load()), min(procs, n); got > limit || (n > 0 && got == 0) {
+				t.Errorf("GOMAXPROCS=%d n=%d: newWorker ran %d times, want 1..%d", procs, n, got, limit)
+			}
+		}
+		runtime.GOMAXPROCS(prev)
 	}
 }
 

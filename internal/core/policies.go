@@ -243,7 +243,7 @@ func (r *PolicyRunner) predictSoloCfg(j JobSpec) (mapreduce.Config, error) {
 	if err != nil {
 		return mapreduce.Config{}, err
 	}
-	return PredictSoloBest(r.Tuner, obs, r.DB)
+	return PredictSoloBest(obs, r.DB)
 }
 
 // runCBM co-locates arrival-order pairs with an even 4/4 core split,
@@ -319,7 +319,7 @@ func (r *PolicyRunner) runECoST(wl Workload, nodes int) (Result, error) {
 			partner = q.SelectPartner(a.Class, r.DB.PartnerPriority(a.Class))
 		}
 		if partner == nil {
-			cfg, err := PredictSoloBest(r.Tuner, a.Obs, r.DB)
+			cfg, err := PredictSoloBest(a.Obs, r.DB)
 			if err != nil {
 				return Result{}, err
 			}

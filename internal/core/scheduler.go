@@ -667,7 +667,7 @@ func (s *OnlineScheduler) tuneFor(n *onlineNode, j *Job) (mapreduce.Config, tune
 			return pairCfg[1], tuneInfo{pair: true, exp: exp}
 		}
 	}
-	cfg, soloExp, err := PredictSoloBestExpected(s.Tuner, j.Obs, s.DB)
+	cfg, soloExp, err := PredictSoloBestExpected(j.Obs, s.DB)
 	if err != nil {
 		cfg = NTConfig(s.Model.Spec.Cores / maxPerNode)
 		soloExp = PairExpectation{}

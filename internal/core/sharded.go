@@ -44,10 +44,6 @@ type ShardedConfig struct {
 	// Steal enables the barrier work-stealing pass: a shard with an
 	// empty queue and free capacity claims queued jobs from neighbors.
 	Steal bool
-	// StealBatch caps how many jobs one shard claims per barrier
-	// (0 = DefaultStealBatch). The cap bounds how far a single barrier
-	// can rebalance, keeping steal-induced divergence local.
-	StealBatch int
 	// ProfileMemo replaces the router's serial noisy profiling with
 	// noise-free ObserveExact profiles memoized by (app, size). Recurring
 	// tenants then profile once ever — the "recurring jobs have
@@ -57,8 +53,10 @@ type ShardedConfig struct {
 	ProfileMemo bool
 }
 
-// DefaultStealBatch bounds per-barrier claims when StealBatch is 0.
-const DefaultStealBatch = 8
+// stealBatch caps how many jobs one shard claims per barrier. The cap
+// bounds how far a single barrier can rebalance, keeping steal-induced
+// divergence local.
+const stealBatch = 8
 
 // ShardedScheduler drives S per-shard OnlineSchedulers in lock-step
 // epochs. Build with NewShardedScheduler, attach per-shard
@@ -196,9 +194,6 @@ func NewShardedScheduler(model *mapreduce.Model, db *Database, prof *Profiler, n
 	}
 	if model == nil || db == nil || prof == nil || newTuner == nil {
 		return nil, fmt.Errorf("core: sharded scheduler: nil dependency")
-	}
-	if cfg.StealBatch <= 0 {
-		cfg.StealBatch = DefaultStealBatch
 	}
 	c := &ShardedScheduler{cfg: cfg, prof: prof, table: newObsTable()}
 	if cfg.ProfileMemo {
@@ -408,22 +403,24 @@ func (c *ShardedScheduler) SetFullBarriers(v bool) { c.fullBarriers = v }
 func (c *ShardedScheduler) BarrierStats() BarrierStats { return c.stats }
 
 // Run drives all shards to completion and returns the global makespan
-// and summed energy. Three drive modes, all byte-identical (§17):
+// and summed energy through one drive loop (§17). At each global min
+// next-event time t the loop takes either an exact barrier or a
+// barrier-free window:
 //
-//   - full barriers (flight recorder attached, or SetFullBarriers):
-//     lock-step epochs at every global min next-event time, a
-//     deterministic steal pass at each — the reference cadence.
-//   - steal off: shards share no mutable state at all, so every shard
-//     free-runs to completion fully in parallel and the exports merge
-//     deterministically afterwards.
-//   - steal on: free-running windows between barriers. Queues grow only
-//     at arrival events, so while every wait queue is empty no
-//     thief/victim pairing can exist before the next arrival time and
-//     all shards drain strictly past it in parallel; the moment a queue
-//     is non-empty the loop falls back to exact barrier cadence.
+//   - barrier: every shard with an event at t drains through t, then the
+//     steal pass runs (when Steal is on) and the flight recorder takes
+//     its epoch (when one is attached). Barriers are pinned at every t —
+//     the lock-step reference cadence — under SetFullBarriers or a
+//     flight recorder, and taken whenever a steal could fire (Steal on
+//     and some wait queue non-empty).
+//   - window: otherwise no thief/victim pairing can exist before the
+//     next arrival, so every shard drains strictly before it in
+//     parallel. With Steal off shards share no mutable state at all, so
+//     the window's horizon is +Inf and one window runs the whole stream.
 //
-// After the last event every shard is advanced to the global makespan
-// and closed out, so every shard bills idle energy up to the same end.
+// Every cadence is byte-identical to the pinned reference. After the
+// last event every shard is advanced to the global makespan and closed
+// out, so every shard bills idle energy up to the same end.
 func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -433,14 +430,7 @@ func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 	c.deal()
 	c.startWorkers()
 	defer c.stopWorkers()
-	switch {
-	case c.fullBarriers || c.flight != nil:
-		c.runBarriers()
-	case !c.cfg.Steal:
-		c.runFree()
-	default:
-		c.runElided()
-	}
+	c.drive()
 	pending := 0
 	for _, sh := range c.shards {
 		pending += sh.Pending()
@@ -470,42 +460,7 @@ func (c *ShardedScheduler) Run() (makespan, energyJ float64, err error) {
 	return end, energy, nil
 }
 
-// runBarriers is the exact lock-step reference loop: one barrier per
-// global event timestamp, each followed by the steal pass and, when a
-// recorder is attached, a flight epoch.
-func (c *ShardedScheduler) runBarriers() {
-	for {
-		t := c.nextBarrier()
-		if math.IsInf(t, 1) {
-			return
-		}
-		c.gatherActive(t, false)
-		c.stats.Barriers++
-		c.runSpan(shardCmd{horizon: t})
-		if c.cfg.Steal {
-			c.stealPass(t)
-		}
-		if c.flight != nil {
-			c.recordBarrier(t)
-		}
-	}
-}
-
-// runFree drives a steal-free run: no cross-shard interaction exists,
-// so the whole run is one free-running window with every shard drained
-// to completion in parallel.
-func (c *ShardedScheduler) runFree() {
-	c.gatherActive(math.Inf(1), true)
-	if len(c.active) == 0 {
-		return
-	}
-	fired := c.totalFired()
-	c.stats.Windows++
-	c.runSpan(shardCmd{horizon: math.Inf(1), excl: true})
-	c.stats.WindowEvents += c.totalFired() - fired
-}
-
-// runElided drives a steal-on run with barrier elision. The
+// drive is Run's event loop. The window rule rests on the
 // steal-eligibility invariant: a wait queue grows only at an arrival
 // event (WaitQueue.Push is reached from arrive and acceptStolen alone),
 // and every arrival time is known before Run. So when all queues are
@@ -513,24 +468,26 @@ func (c *ShardedScheduler) runFree() {
 // no-op at every barrier in [t, nextArrival) — there is no victim to
 // steal from, which is precisely the reference pass's own early-out —
 // and all shards can free-run through events strictly before
-// nextArrival with no barrier at all. Otherwise one exact barrier (with
-// its steal pass) runs at t, and the loop re-evaluates.
-func (c *ShardedScheduler) runElided() {
+// nextArrival with no barrier at all.
+func (c *ShardedScheduler) drive() {
+	pinned := c.fullBarriers || c.flight != nil
 	for {
 		t := c.nextBarrier()
 		if math.IsInf(t, 1) {
 			return
 		}
-		if !c.anyQueued() {
-			// Every arrival strictly before t has fired: each shard's
-			// earliest unfired arrival keeps a pending event at its
-			// time, so the global min next-event time t bounds it.
-			for c.arrCursor < len(c.arrs) && c.arrs[c.arrCursor].at < t {
-				c.arrCursor++
-			}
+		if !pinned && !(c.cfg.Steal && c.anyQueued()) {
 			horizon := math.Inf(1)
-			if c.arrCursor < len(c.arrs) {
-				horizon = c.arrs[c.arrCursor].at
+			if c.cfg.Steal {
+				// Every arrival strictly before t has fired: each shard's
+				// earliest unfired arrival keeps a pending event at its
+				// time, so the global min next-event time t bounds it.
+				for c.arrCursor < len(c.arrs) && c.arrs[c.arrCursor].at < t {
+					c.arrCursor++
+				}
+				if c.arrCursor < len(c.arrs) {
+					horizon = c.arrs[c.arrCursor].at
+				}
 			}
 			if horizon > t {
 				c.gatherActive(horizon, true)
@@ -545,7 +502,12 @@ func (c *ShardedScheduler) runElided() {
 		c.gatherActive(t, false)
 		c.stats.Barriers++
 		c.runSpan(shardCmd{horizon: t})
-		c.stealPass(t)
+		if c.cfg.Steal {
+			c.stealPass(t)
+		}
+		if c.flight != nil {
+			c.recordBarrier(t)
+		}
 	}
 }
 
@@ -679,7 +641,7 @@ func (c *ShardedScheduler) runSpan(cmd shardCmd) {
 // stealPass runs single-threaded at the barrier: shards are scanned in
 // index order; a shard with an empty queue and free capacity claims
 // queue heads from its neighbors (nearest first, wrapping upward) up to
-// min(StealBatch, FreeSlots) jobs, then dispatches them at the barrier
+// min(stealBatch, FreeSlots) jobs, then dispatches them at the barrier
 // time. Everything here is a function of shard state and t alone, so a
 // steal that fires at t fires at t in every run of the same stream.
 func (c *ShardedScheduler) stealPass(t float64) {
@@ -698,10 +660,7 @@ func (c *ShardedScheduler) stealPass(t float64) {
 		if thief.QueueLen() > 0 {
 			continue
 		}
-		budget := thief.FreeSlots()
-		if budget > c.cfg.StealBatch {
-			budget = c.cfg.StealBatch
-		}
+		budget := min(thief.FreeSlots(), stealBatch)
 		if budget <= 0 {
 			continue
 		}

@@ -6,8 +6,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ecost/internal/mapreduce"
@@ -45,24 +43,6 @@ func (s *LkTSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
 	return best.Cfg, nil
 }
 
-// PredictBestEDP implements PairEDPPredictor: the lookup table stores
-// the best-resembling known pair's measured EDP alongside its optimal
-// configuration, so LkT's own expectation comes for free.
-func (s *LkTSTP) PredictBestEDP(a, b Observation) ([2]mapreduce.Config, float64, error) {
-	best, err := s.DB.LookupBest(a, b)
-	if err != nil {
-		return [2]mapreduce.Config{}, 0, err
-	}
-	return best.Cfg, best.Out.EDP, nil
-}
-
-// PairEDPPredictor is implemented by STP techniques that expose their
-// own EDP estimate alongside the predicted configuration. The metered
-// wrapper uses it to score predicted-vs-realized EDP error online.
-type PairEDPPredictor interface {
-	PredictBestEDP(a, b Observation) ([2]mapreduce.Config, float64, error)
-}
-
 // PairExpectation is a technique's full outcome forecast at its chosen
 // configuration: pair EDP in J·s, makespan seconds, average watts. Its
 // field layout matches audit.Expectation so the scheduler converts by
@@ -95,16 +75,12 @@ func (s *LkTSTP) PredictBestExpected(a, b Observation) ([2]mapreduce.Config, Pai
 	}, nil
 }
 
-// predictExpected dispatches to the richest prediction interface the
-// technique implements, degrading gracefully: full forecast, EDP-only,
-// or configuration-only (zero expectation).
+// predictExpected asks a technique for its full forecast when it
+// exposes one (ExpectingSTP), else for the configuration alone with a
+// zero expectation.
 func predictExpected(t STP, a, b Observation) ([2]mapreduce.Config, PairExpectation, error) {
-	switch p := t.(type) {
-	case ExpectingSTP:
+	if p, ok := t.(ExpectingSTP); ok {
 		return p.PredictBestExpected(a, b)
-	case PairEDPPredictor:
-		cfg, edp, err := p.PredictBestEDP(a, b)
-		return cfg, PairExpectation{EDP: edp}, err
 	}
 	cfg, err := t.PredictBest(a, b)
 	return cfg, PairExpectation{}, err
@@ -279,11 +255,10 @@ func NewMLMSTPFeatures(name string, db *Database, factory ModelFactory, rowStrid
 }
 
 // newMLMSTP groups the rows by model key and trains one regressor per
-// key over a GOMAXPROCS-sized worker pool. The factory runs serially in
-// key order; every regressor then trains from its own rows and its own
-// seeded RNG, so the schedule cannot reach the fitted models, and the
-// first error is reported in key order. TrainTime is the pool's
-// wall-clock time.
+// key over forEach. The factory runs serially in key order; every
+// regressor then trains from its own rows and its own seeded RNG, so the
+// schedule cannot reach the fitted models, and the first error is
+// reported in key order. TrainTime is the fan-out's wall-clock time.
 func newMLMSTP(name string, db *Database, factory ModelFactory, rowStride int, useFeatures bool) (*MLMSTP, error) {
 	if rowStride < 1 {
 		rowStride = 1
@@ -310,23 +285,9 @@ func newMLMSTP(name string, db *Database, factory ModelFactory, rowStride int, u
 		models[i] = factory()
 	}
 	errs := make([]error, len(s.keys))
-	workers := min(runtime.GOMAXPROCS(0), len(s.keys))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				n := int(next.Add(1)) - 1
-				if n >= len(s.keys) {
-					return
-				}
-				errs[n] = s.train(models[n], groups[s.keys[n]])
-			}
-		}()
-	}
-	wg.Wait()
+	forEach(len(s.keys), func() func(int) {
+		return func(n int) { errs[n] = s.train(models[n], groups[s.keys[n]]) }
+	})
 	s.models = make(map[modelKey]ml.Regressor, len(s.keys))
 	for i, key := range s.keys {
 		if errs[i] != nil {
@@ -456,18 +417,15 @@ func (s *MLMSTP) PredictBest(a, b Observation) ([2]mapreduce.Config, error) {
 
 // argminRows returns the index of the design-matrix row the regressor
 // scores lowest, ties broken by lowest index (the serial scan's
-// first-wins rule). Chunks fan out over GOMAXPROCS workers; each worker
-// reuses one input-row scratch buffer, so the sweep allocates nothing
-// per configuration.
+// first-wins rule). Up to GOMAXPROCS chunks fan out over forEach; each
+// chunk reuses one input-row scratch buffer, so the sweep allocates
+// nothing per configuration.
 func (s *MLMSTP) argminRows(m ml.Regressor, rows [][]float64, fa, fb []float64) int {
 	if len(rows) == 0 {
 		return -1
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(rows)/minRowsPerWorker {
-		workers = len(rows) / minRowsPerWorker
-	}
-	if workers <= 1 {
+	chunks := min(runtime.GOMAXPROCS(0), len(rows)/minRowsPerWorker)
+	if chunks <= 1 {
 		best, _ := s.argminChunk(m, rows, fa, fb, 0, len(rows))
 		return best
 	}
@@ -475,27 +433,15 @@ func (s *MLMSTP) argminRows(m ml.Regressor, rows [][]float64, fa, fb []float64) 
 		idx  int
 		pred float64
 	}
-	results := make([]localBest, workers)
-	var wg sync.WaitGroup
-	chunk := (len(rows) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		if lo >= hi {
-			results[w] = localBest{idx: -1}
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
+	results := make([]localBest, chunks)
+	chunk := (len(rows) + chunks - 1) / chunks
+	forEach(chunks, func() func(int) {
+		return func(w int) {
+			lo, hi := min(w*chunk, len(rows)), min((w+1)*chunk, len(rows))
 			idx, pred := s.argminChunk(m, rows, fa, fb, lo, hi)
 			results[w] = localBest{idx: idx, pred: pred}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 	best := localBest{idx: -1, pred: math.Inf(1)}
 	for _, lb := range results {
 		if lb.idx < 0 {
@@ -542,10 +488,10 @@ func (s *MLMSTP) argminChunk(m ml.Regressor, rows [][]float64, fa, fb []float64,
 
 // PredictSoloBest predicts the best standalone configuration for one
 // application (used by the PTM mapping policy, which tunes without
-// pairing): the observation is paired with itself at a token 1-mapper
-// slot and the primary slot's knobs are returned.
-func PredictSoloBest(s STP, o Observation, db *Database) (mapreduce.Config, error) {
-	cfg, _, err := PredictSoloBestExpected(s, o, db)
+// pairing): the solo-optimal configuration of the database's nearest
+// known application, whatever technique tunes the pairs.
+func PredictSoloBest(o Observation, db *Database) (mapreduce.Config, error) {
+	cfg, _, err := PredictSoloBestExpected(o, db)
 	return cfg, err
 }
 
@@ -555,9 +501,7 @@ func PredictSoloBest(s STP, o Observation, db *Database) (mapreduce.Config, erro
 // and size, run alone at the returned configuration), so its error
 // against the realized outcome measures how well the database still
 // resembles the live workload — the decision-audit drift signal.
-func PredictSoloBestExpected(s STP, o Observation, db *Database) (mapreduce.Config, PairExpectation, error) {
-	// LkT has a natural solo answer: the nearest known application's
-	// solo-optimal configuration.
+func PredictSoloBestExpected(o Observation, db *Database) (mapreduce.Config, PairExpectation, error) {
 	near := db.Classifier().NearestKnown(o)
 	best, err := db.Oracle().BestSolo(near.App, near.SizeGB*1024)
 	if err != nil {

@@ -54,9 +54,6 @@ type Options struct {
 	// training (defaults 150 and 6).
 	MLPEpochs    int
 	MLPRowStride int
-	// Workers sizes the database build's worker pool (0 = GOMAXPROCS;
-	// any count produces an identical database).
-	Workers int
 	// Metrics, when set, receives build observability: volatile
 	// wall-clock gauges for the database build and per-technique
 	// training times. It does not participate in the cache key.
@@ -107,7 +104,6 @@ func NewEnv(opt Options) (*Env, error) {
 	db, err := core.BuildDatabase(profiler, oracle, workloads.Training(), core.BuildOptions{
 		Sizes:        workloads.DataSizesGB(),
 		ConfigStride: opt.ConfigStride,
-		Workers:      opt.Workers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
@@ -180,7 +176,6 @@ func (e *Env) EnsureRows() error {
 	err := e.DB.RebuildRows(core.BuildOptions{
 		Sizes:        workloads.DataSizesGB(),
 		ConfigStride: e.opt.ConfigStride,
-		Workers:      e.opt.Workers,
 	})
 	e.opt.Metrics.VolatileGauge("env.rows_rebuild.wall_seconds").Set(time.Since(start).Seconds())
 	return err

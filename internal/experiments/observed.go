@@ -5,7 +5,6 @@ import (
 	"ecost/internal/core"
 	"ecost/internal/flight"
 	"ecost/internal/metrics"
-	"ecost/internal/scenario"
 	"ecost/internal/tracing"
 )
 
@@ -38,28 +37,4 @@ func (o *ShardedObservation) attach(sched *core.ShardedScheduler) {
 	sched.SetTracer(o.Trace)
 	o.Flight = flight.New(flight.Config{Shards: sched.Shards(), ShardNodes: sched.ShardNodes()})
 	sched.SetFlight(o.Flight)
-}
-
-// OnlineScenarioObserved is OnlineScenario with the full observability
-// stack attached: per-shard registries feeding memoized metered LkT
-// tuners, per-shard decision audit logs, span tracers, and the barrier
-// flight recorder. It reports the same observables and additionally
-// returns the observation handles so callers can render traces, decision
-// quality, shard health, epoch wide-events, and anomaly dumps after the
-// run.
-func OnlineScenarioObserved(env *Env, spec scenario.Spec, nodes int, cfg core.ShardedConfig) (Table, OnlineData, QueueStats, *ShardedObservation, error) {
-	arrivals, err := scenario.Generate(spec)
-	if err != nil {
-		return Table{}, OnlineData{}, QueueStats{}, nil, err
-	}
-	r, err := runOnline(env, arrivals, nodes, drive{cfg: cfg, tuner: env.LkT, observe: true})
-	if err != nil {
-		return Table{}, OnlineData{}, QueueStats{}, nil, err
-	}
-	tbl := r.scenarioTable("Online ECoST scenario, observed", spec.String(), nodes)
-	tbl.AddRow("epochs", r.obs.Flight.Epochs())
-	tbl.AddRow("flight dumps", len(r.obs.Flight.Dumps()))
-	tbl.Notes = append(tbl.Notes,
-		"fully observed run: per-shard metrics + audit + span tracers, barrier flight recorder; render traces, shard health, and dumps from the returned handles")
-	return tbl, r.data, r.qs, r.obs, nil
 }

@@ -75,11 +75,9 @@ func TestOnlineScenarioShardedObservedGolden(t *testing.T) {
 		for i, procs := range []int{1, 4} {
 			old := runtime.GOMAXPROCS(procs)
 			env := freshEnv(t)
-			tbl, data, qs, obs, err := OnlineScenarioObserved(env, spec, 4, cfg)
+			r := runScenario(t, env, spec, 4, cfg, true)
 			runtime.GOMAXPROCS(old)
-			if err != nil {
-				t.Fatal(err)
-			}
+			data, qs, obs := r.data, r.qs, r.obs
 			label := fmt.Sprintf("shards=%d GOMAXPROCS=%d", cfg.Shards, procs)
 			if data.Jobs != 24 || qs.Utilization <= 0 {
 				t.Fatalf("%s: incoherent run: %+v / %+v", label, data, qs)
@@ -91,7 +89,7 @@ func TestOnlineScenarioShardedObservedGolden(t *testing.T) {
 				t.Fatalf("%s: observation handles incomplete: %d regs, %d audits, %d tracers",
 					label, len(obs.Registries), len(obs.Audits), obs.Trace.Shards())
 			}
-			checkObservedRun(t, label, env, tbl, data, obs, cfg.Shards)
+			checkObservedRun(t, label, env, data, obs)
 			got := observedExports(t, obs)
 			if i == 0 {
 				base, baseData = got, data
@@ -106,11 +104,7 @@ func TestOnlineScenarioShardedObservedGolden(t *testing.T) {
 		}
 		// Observing the run does not perturb it: the plain drive of the
 		// same stream reports the same summary, bit for bit.
-		_, plain, _, err := OnlineScenario(freshEnv(t), spec, 4, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plain != baseData {
+		if plain := runScenario(t, freshEnv(t), spec, 4, cfg, false).data; plain != baseData {
 			t.Fatalf("shards=%d: observation perturbed the run:\n got %+v\nwant %+v", cfg.Shards, baseData, plain)
 		}
 		// The shard-labeled exposition, the health report and the EDP
@@ -129,22 +123,10 @@ func TestOnlineScenarioShardedObservedGolden(t *testing.T) {
 	}
 }
 
-// checkObservedRun asserts the table shape and the conservation and
-// join properties of one observed run.
-func checkObservedRun(t *testing.T, label string, env *Env, tbl Table, data OnlineData, obs *ShardedObservation, shards int) {
+// checkObservedRun asserts the conservation and join properties of one
+// observed run.
+func checkObservedRun(t *testing.T, label string, env *Env, data OnlineData, obs *ShardedObservation) {
 	t.Helper()
-	s := tbl.String()
-	for _, want := range []string{"utilization", "epochs", "flight dumps"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("%s: table missing %q:\n%s", label, want, s)
-		}
-	}
-	for _, want := range []string{"shard(s)", "steals", "exact barriers"} {
-		if got := strings.Contains(s, want); got != (shards > 1) {
-			t.Errorf("%s: table contains %q = %v:\n%s", label, want, got, s)
-		}
-	}
-
 	rep := obs.Trace.Report()
 	if len(rep.Jobs) != data.Jobs {
 		t.Fatalf("%s: report covers %d jobs, run completed %d", label, len(rep.Jobs), data.Jobs)

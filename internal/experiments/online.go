@@ -112,38 +112,6 @@ func runOnline(env *Env, arrivals []trace.Arrival, nodes int, d drive) (*onlineR
 	return r, nil
 }
 
-// scenarioTable renders a stream run: the shared online rows and the
-// queueing observables, plus — only when the run was sharded — the
-// shard count in the title and the shard, steal and barrier rows.
-func (r *onlineRun) scenarioTable(title, label string, nodes int) Table {
-	shards := r.sched.Shards()
-	if shards > 1 {
-		title += fmt.Sprintf(" (%d shard(s))", shards)
-	}
-	tbl := Table{
-		Title:  fmt.Sprintf("%s: %s, %d node(s)", title, label, nodes),
-		Header: []string{"metric", "value"},
-	}
-	addOnlineRows(&tbl, r.data)
-	r.qs.AddRows(&tbl)
-	tbl.Notes = append(tbl.Notes,
-		"utilization is busy node-time over nodes x makespan; queue lengths are time-weighted")
-	if shards == 1 {
-		return tbl
-	}
-	tbl.AddRow("shards", shards)
-	tbl.AddRow("steals", r.sched.Steals())
-	bs := r.sched.BarrierStats()
-	tbl.AddRow("exact barriers", bs.Barriers)
-	tbl.AddRow("free windows", bs.Windows)
-	tbl.AddRow("events elided", bs.WindowEvents)
-	tbl.AddRow("elided %", fmt.Sprintf("%.1f", 100*bs.ElidedRatio()))
-	tbl.Notes = append(tbl.Notes,
-		"shards own disjoint node slices; submissions route by tenant hash, idle shards steal queue heads at event barriers",
-		"barriers are exact lock-step steal passes; free windows let shards run unsynchronized while no thief/victim pairing can exist (events elided counts work that skipped a barrier)")
-	return tbl
-}
-
 // addOnlineRows appends the shared summary rows of an online run.
 func addOnlineRows(tbl *Table, data OnlineData) {
 	tbl.AddRow("makespan (s)", data.Makespan)

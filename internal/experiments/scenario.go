@@ -2,13 +2,10 @@ package experiments
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 
 	"ecost/internal/core"
-	"ecost/internal/scenario"
-	"ecost/internal/trace"
 )
 
 // QueueStats are the queueing observables the paper never measured:
@@ -180,44 +177,4 @@ func pct(sorted []float64, q float64) float64 {
 		i = len(sorted) - 1
 	}
 	return sorted[i]
-}
-
-// AddRows appends the stats to a result table.
-func (qs QueueStats) AddRows(tbl *Table) {
-	tbl.AddRow("utilization", qs.Utilization)
-	tbl.AddRow("mean queue length", qs.MeanQueueLen)
-	tbl.AddRow("p95 queue length", qs.P95QueueLen)
-	tbl.AddRow("max queue length", qs.MaxQueueLen)
-	tbl.AddRow("wait p50/p95/p99 (s)", fmt.Sprintf("%.1f / %.1f / %.1f", qs.WaitP50, qs.WaitP95, qs.WaitP99))
-	tbl.AddRow("sojourn p50/p95/p99 (s)", fmt.Sprintf("%.1f / %.1f / %.1f", qs.SojournP50, qs.SojournP95, qs.SojournP99))
-}
-
-// OnlineScenario drives the online ECoST control plane with a
-// generated scenario stream (internal/scenario) and reports cluster EDP
-// plus the queueing observables. It is OnlineTrace for production-shaped
-// load: open-loop arrival processes, heavy-tailed sizes, recurring
-// tenants. cfg.Shards == 1 runs the whole cluster under one scheduler;
-// with more shards and stealing off, makespan and energy match the
-// single-shard run to 1e-9 whenever jobs do not overlap in time (see
-// DESIGN.md §14 for the determinism contract).
-func OnlineScenario(env *Env, spec scenario.Spec, nodes int, cfg core.ShardedConfig) (Table, OnlineData, QueueStats, error) {
-	arrivals, err := scenario.Generate(spec)
-	if err != nil {
-		return Table{}, OnlineData{}, QueueStats{}, err
-	}
-	return OnlineReplay(env, spec.String(), arrivals, nodes, cfg)
-}
-
-// OnlineReplay drives the control plane with a pre-parsed arrival
-// stream (a replayed JSONL trace). The run is indistinguishable from the
-// generating run: identical streams produce identical tables,
-// independent of GOMAXPROCS. The stream must be in nondecreasing time
-// order, as scenario.ReadTrace enforces; an arrival the control plane
-// rejects (out of order, bad time or size) fails the run.
-func OnlineReplay(env *Env, label string, arrivals []trace.Arrival, nodes int, cfg core.ShardedConfig) (Table, OnlineData, QueueStats, error) {
-	r, err := runOnline(env, arrivals, nodes, drive{cfg: cfg, tuner: env.LkT})
-	if err != nil {
-		return Table{}, OnlineData{}, QueueStats{}, err
-	}
-	return r.scenarioTable("Online ECoST scenario", label, nodes), r.data, r.qs, nil
 }

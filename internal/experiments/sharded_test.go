@@ -16,31 +16,40 @@ func freshEnv(t *testing.T) *Env {
 	return freshProfiler(sharedEnv(t))
 }
 
+// runScenario generates spec's stream and drives it through runOnline
+// under the memoized LkT tuner, the drive every scenario test shares.
+func runScenario(t *testing.T, env *Env, spec scenario.Spec, nodes int, cfg core.ShardedConfig, observe bool) *onlineRun {
+	t.Helper()
+	arrivals, err := scenario.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := runOnline(env, arrivals, nodes, drive{cfg: cfg, tuner: env.LkT, observe: observe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // TestOnlineScenarioShardedMultiShard: a multi-shard steal-enabled run
 // completes the stream, reports coherent stats, and is deterministic
 // run to run.
 func TestOnlineScenarioShardedMultiShard(t *testing.T) {
 	spec := scenarioSpec(20)
 	cfg := core.ShardedConfig{Shards: 4, Steal: true, ProfileMemo: true}
-	_, a, qsA, err := OnlineScenario(freshEnv(t), spec, 4, cfg)
-	if err != nil {
-		t.Fatal(err)
+	a := runScenario(t, freshEnv(t), spec, 4, cfg, false)
+	if a.data.Jobs != 20 {
+		t.Fatalf("ran %d jobs, want 20", a.data.Jobs)
 	}
-	if a.Jobs != 20 {
-		t.Fatalf("ran %d jobs, want 20", a.Jobs)
+	if a.qs.Utilization <= 0 || a.qs.Utilization > 1 {
+		t.Fatalf("utilization %v outside (0, 1]", a.qs.Utilization)
 	}
-	if qsA.Utilization <= 0 || qsA.Utilization > 1 {
-		t.Fatalf("utilization %v outside (0, 1]", qsA.Utilization)
+	if a.data.Makespan <= 0 || a.data.EnergyJ <= 0 {
+		t.Fatalf("degenerate run: makespan %v energy %v", a.data.Makespan, a.data.EnergyJ)
 	}
-	if a.Makespan <= 0 || a.EnergyJ <= 0 {
-		t.Fatalf("degenerate run: makespan %v energy %v", a.Makespan, a.EnergyJ)
-	}
-	_, b, qsB, err := OnlineScenario(freshEnv(t), spec, 4, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b || qsA != qsB {
-		t.Fatalf("multi-shard run not deterministic:\n got %+v / %+v\nwant %+v / %+v", b, qsB, a, qsA)
+	b := runScenario(t, freshEnv(t), spec, 4, cfg, false)
+	if a.data != b.data || a.qs != b.qs {
+		t.Fatalf("multi-shard run not deterministic:\n got %+v / %+v\nwant %+v / %+v", b.data, b.qs, a.data, a.qs)
 	}
 }
 
@@ -49,20 +58,18 @@ func TestOnlineScenarioShardedMultiShard(t *testing.T) {
 func TestOnlineReplaySharded(t *testing.T) {
 	spec := scenarioSpec(16)
 	cfg := core.ShardedConfig{Shards: 2, Steal: true}
-	_, want, wantQS, err := OnlineScenario(freshEnv(t), spec, 4, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runScenario(t, freshEnv(t), spec, 4, cfg, false)
 	arrivals, err := scenario.Generate(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, got, gotQS, err := OnlineReplay(freshEnv(t), "replay", arrivals, 4, cfg)
+	env := freshEnv(t)
+	got, err := runOnline(env, arrivals, 4, drive{cfg: cfg, tuner: env.LkT})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want || gotQS != wantQS {
-		t.Fatalf("replay diverged from generating run:\n got %+v / %+v\nwant %+v / %+v", got, gotQS, want, wantQS)
+	if got.data != want.data || got.qs != want.qs {
+		t.Fatalf("replay diverged from generating run:\n got %+v / %+v\nwant %+v / %+v", got.data, got.qs, want.data, want.qs)
 	}
 }
 
@@ -75,7 +82,8 @@ func TestOnlineReplayRejectsBadStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	arrivals[1].At, arrivals[2].At = arrivals[2].At+1, arrivals[1].At
-	if _, _, _, err := OnlineReplay(freshEnv(t), "bad", arrivals, 2, core.ShardedConfig{Shards: 1}); err == nil {
+	env := freshEnv(t)
+	if _, err := runOnline(env, arrivals, 2, drive{cfg: core.ShardedConfig{Shards: 1}, tuner: env.LkT}); err == nil {
 		t.Fatal("out-of-order stream accepted")
 	}
 }

@@ -72,4 +72,3 @@ func (g *RNG) Exp(mean float64) float64 {
 
 // Perm returns a deterministic pseudo-random permutation of [0,n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
